@@ -388,9 +388,10 @@ def gradient_check_suite() -> list[tuple[str, float, float]]:
     feat = rng.standard_normal((2, 3, 5, 8))
     results.append(("mfa_forward", mfa_grad_check(feat, rng), 1e-4))
 
-    query = rng.standard_normal((1, 3, 4, 8))
-    refs = rng.standard_normal((3, 3, 4, 8))
-    results.append(("radmfa_forward", radmfa_grad_check(query, refs, rng), 1e-4))
+    queries = rng.standard_normal((2, 3, 4, 8))
+    refs = rng.standard_normal((2, 3, 3, 4, 8))
+    for name, just_difference in (("radmfa_forward", False), ("just_difference", True)):
+        results.append((name, radmfa_grad_check(queries, refs, rng, just_difference), 1e-4))
     return results
 
 
@@ -408,17 +409,19 @@ def mfa_grad_check(feat: np.ndarray, rng, max_coords=None) -> float:
     return nn.grad_check(fn, arrays, max_coords=max_coords)
 
 
-def radmfa_grad_check(query: np.ndarray, refs: np.ndarray, rng, max_coords=None) -> float:
-    """End-to-end check of the retrieval-augmented forward."""
-    n_layers, feat_dim = query.shape[1], query.shape[3]
-    template = model.init_radmfa(n_layers, feat_dim, rng).tensors()
+def radmfa_grad_check(queries, refs, rng, just_difference=False, max_coords=None) -> float:
+    """End-to-end check of the batched forward that training and scoring
+    run: queries (B, L, T, F), refs (B, K, L, T, F)."""
+    n_layers, feat_dim = queries.shape[1], queries.shape[3]
+    template = model.init_radmfa(n_layers, feat_dim, rng, just_difference).tensors()
     names = sorted(template)
 
-    def fn(query_t, refs_t, *param_ts):
-        params = model.radmfa_from_tensors(n_layers, dict(zip(names, param_ts)))
-        return model.radmfa_forward(query_t, refs_t, params)
+    def fn(queries_t, refs_t, *param_ts):
+        tensors = dict(zip(names, param_ts))
+        params = model.radmfa_from_tensors(n_layers, tensors, just_difference)
+        return model.radmfa_forward(queries_t, refs_t, params)
 
-    arrays = [query, refs] + [template[n].data for n in names]
+    arrays = [queries, refs] + [template[n].data for n in names]
     return nn.grad_check(fn, arrays, max_coords=max_coords)
 
 

@@ -372,11 +372,6 @@ def load_segment(manifest_dir, record: ManifestRecord) -> AudioSegment:
     return segment_clip(clip)
 
 
-def records_for_splits(records: list[ManifestRecord], splits) -> list[ManifestRecord]:
-    wanted = set(splits)
-    return [r for r in records if r.split in wanted]
-
-
 def acceptance_corpus_config(seed: int = 11) -> CorpusConfig:
     """The desk-scale experiment corpus: 8 speakers, 800 clips, 4 splits."""
     return CorpusConfig(

@@ -15,6 +15,7 @@ Two reductions operate on the (L, T', F) long feature:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -122,8 +123,10 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, n_fft: int = N_FFT, sr: int = SAMPLE_RATE) -> np.ndarray:
-    """Triangular mel filters as an (n_bins, n_mels) matrix, peak 1."""
+    """Triangular mel filters as an (n_bins, n_mels) matrix, peak 1; built
+    once per geometry and shared read-only."""
     n_bins = n_fft // 2 + 1
     freqs = np.arange(n_bins) * (sr / n_fft)
     mel_points = np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), n_mels + 2)
@@ -134,6 +137,7 @@ def mel_filterbank(n_mels: int, n_fft: int = N_FFT, sr: int = SAMPLE_RATE) -> np
         up = (freqs - left) / max(centre - left, 1e-9)
         down = (right - freqs) / max(right - centre, 1e-9)
         bank[:, m] = np.clip(np.minimum(up, down), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 

@@ -42,6 +42,10 @@ class StoreBuildError(RadspoofError):
     """A vector store could not be built from the given inputs."""
 
 
+class StoreNotFoundError(RadspoofError, FileNotFoundError):
+    """No persisted vector store exists at the given directory."""
+
+
 class QueryError(RadspoofError):
     """A retrieval query is malformed (e.g. dimension mismatch)."""
 

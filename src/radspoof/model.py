@@ -11,6 +11,11 @@ differences over the K axis, and classifies the pooled differences
 concatenated with the query representation. The ``just_difference``
 variant drops the query branch at the head.
 
+Each model has exactly one batched forward: ``radmfa_forward`` (both
+retrieval heads, selected by ``RadMfaParams.just_difference``) and
+``baseline_forward``; a single query is a batch of one. Training, scoring
+and ``radspoof gradcheck`` all run these same functions.
+
 Scores are logit(bonafide) - logit(spoof); higher means more bonafide.
 """
 
@@ -186,50 +191,30 @@ def mfa_forward(features, params: MfaParams) -> nn.Tensor:
     return nn.asp(merged, params.layer_pool)  # (B, 4F)
 
 
-def radmfa_forward(query_feat, ref_feats, params: RadMfaParams) -> nn.Tensor:
-    """Query (1, L, T, F) with references (K, L, T, F) -> logits (1, 2)."""
-    query = query_feat if isinstance(query_feat, nn.Tensor) else nn.constant(query_feat)
-    refs = ref_feats if isinstance(ref_feats, nn.Tensor) else nn.constant(ref_feats)
-    if query.data.shape[0] != 1:
-        raise InvalidInputError("query batch must be 1")
-    k = refs.data.shape[0]
+def radmfa_forward(queries, refs, params: RadMfaParams) -> nn.Tensor:
+    """Queries (B, L, T, F) with references (B, K, L, T, F) -> logits (B, 2).
+
+    One shared fusion pass runs over all B*(1+K) rows, so a reference whose
+    features equal its query's differs from it by exactly zero; the
+    differences are then pooled per query over K. Arrays or Tensors are
+    accepted, so gradients can reach the inputs.
+    """
+    queries = queries if isinstance(queries, nn.Tensor) else nn.constant(queries)
+    refs = refs if isinstance(refs, nn.Tensor) else nn.constant(refs)
+    if refs.data.ndim != 5 or refs.data.shape[2:] != queries.data.shape[1:]:
+        raise InvalidInputError(
+            f"reference shape {refs.data.shape} incompatible with queries {queries.data.shape}"
+        )
+    n_queries, k = refs.data.shape[:2]
     if k < 1:
         raise InvalidInputError("retrieval returned no references")
-    if refs.data.shape[1:] != query.data.shape[1:]:
+    if queries.data.shape[0] != n_queries:
         raise InvalidInputError(
-            f"reference shape {refs.data.shape} incompatible with query {query.data.shape}"
+            f"{queries.data.shape[0]} queries but references for {n_queries}"
         )
-    # one shared fusion pass keeps query and reference rows numerically
-    # identical when their features are identical (exact zero difference)
-    combined = nn.concat([query, refs], axis=0)  # (1+K, L, T, F)
-    reprs = mfa_forward(combined, params.mfa)  # (1+K, 4F)
-    query_repr = nn.narrow(reprs, axis=0, start=0, length=1)  # (1, 4F)
-    ref_reprs = nn.narrow(reprs, axis=0, start=1, length=k)  # (K, 4F)
-    diffs = nn.sub(ref_reprs, query_repr)  # (K, 4F)
-    diffs = nn.reshape(diffs, (1, k, diffs.data.shape[-1]))
-    pooled_diff = nn.asp(diffs, params.sample_pool)  # (1, 8F)
-    head_in = pooled_diff if params.just_difference else nn.concat(
-        [pooled_diff, query_repr], axis=-1
-    )
-    return nn.affine(head_in, params.head_w, params.head_b)
-
-
-def just_difference_forward(query_feat, ref_feats, params: RadMfaParams) -> nn.Tensor:
-    """Ablation head: classify the pooled differences alone (8F -> 2)."""
-    if not params.just_difference:
-        raise ConfigurationError("params were not built with just_difference=True")
-    return radmfa_forward(query_feat, ref_feats, params)
-
-
-def _radmfa_forward_batch(queries: np.ndarray, refs: np.ndarray, params: RadMfaParams) -> nn.Tensor:
-    """Batched equivalent of radmfa_forward.
-
-    queries is (B, L, T, F), refs is (B, K, L, T, F); one shared fusion pass
-    over the B*(1+K) rows, then per-query difference pooling. Returns (B, 2).
-    """
-    n_queries, k = refs.shape[0], refs.shape[1]
-    rows = np.concatenate([queries[:, None], refs], axis=1)  # (B, 1+K, L, T, F)
-    flat = nn.constant(rows.reshape((n_queries * (1 + k),) + rows.shape[2:]))
+    row_shape = queries.data.shape[1:]
+    rows = nn.concat([nn.reshape(queries, (n_queries, 1) + row_shape), refs], axis=1)
+    flat = nn.reshape(rows, (n_queries * (1 + k),) + row_shape)  # query first per group
     reprs = mfa_forward(flat, params.mfa)  # (B*(1+K), 4F)
     grouped = nn.reshape(reprs, (n_queries, 1 + k, reprs.data.shape[-1]))
     query_repr = nn.narrow(grouped, axis=1, start=0, length=1)  # (B, 1, 4F)
@@ -258,21 +243,16 @@ def encoder_cascade(
     return nn.stack(layers, axis=1)
 
 
-def _baseline_forward_mel(
+def baseline_forward(
     mels: np.ndarray, params: BaselineParams, encoder_cfg: EncoderConfig, tau: int
 ) -> nn.Tensor:
+    """Log-mel (B, T', F) -> logits (B, 2) through the trainable encoder stack."""
+    if encoder_cfg.kind != "pseudo_trainable":
+        raise ConfigurationError("baseline needs encoder kind pseudo_trainable")
     stack = encoder_cascade(mels, params, encoder_cfg)
     short = nn.block_mean(stack, tau, axis=2)
     repr_ = mfa_forward(short, params.mfa)
     return nn.affine(repr_, params.head_w, params.head_b)
-
-
-def baseline_forward(segments, params: BaselineParams, encoder_cfg: EncoderConfig, tau: int) -> nn.Tensor:
-    """Segments -> logits (B, 2) through the trainable encoder stack."""
-    if encoder_cfg.kind != "pseudo_trainable":
-        raise ConfigurationError("baseline needs encoder kind pseudo_trainable")
-    mels = np.stack([mel_frames(s.samples, encoder_cfg.feat_dim) for s in segments])
-    return _baseline_forward_mel(mels, params, encoder_cfg, tau)
 
 
 # --- reference assembly -------------------------------------------------------
@@ -377,7 +357,7 @@ class _BaselineRunner:
 
     def logits(self, batch_records) -> nn.Tensor:
         mels = np.stack([self._mel(r) for r in batch_records])
-        return _baseline_forward_mel(mels, self.params, self.encoder_cfg, self.hyper.tau)
+        return baseline_forward(mels, self.params, self.encoder_cfg, self.hyper.tau)
 
     def tuned_encoder(self) -> EncoderConfig:
         scales = np.stack([t.data for t in self.params.scales])
@@ -415,7 +395,7 @@ class _RadRunner:
             self._materialize(record)
         queries = np.stack([self._queries[r.utt_id] for r in batch_records]).astype(np.float64)
         refs = np.stack([self._refs[r.utt_id] for r in batch_records]).astype(np.float64)
-        return _radmfa_forward_batch(queries, refs, self.params)
+        return radmfa_forward(queries, refs, self.params)
 
 
 def _eval_eer(runner, records, batch_size) -> float:
@@ -575,7 +555,7 @@ def score_dataset(
             batch = records[start : start + batch_size]
             segments = [load_segment(manifest_dir, r) for r in batch]
             mels = np.stack([mel_frames(s.samples, feat_dim) for s in segments])
-            all_logits.append(_baseline_forward_mel(mels, params, encoder_cfg, tau).data)
+            all_logits.append(baseline_forward(mels, params, encoder_cfg, tau).data)
         return _scores_from_logits(records, np.concatenate(all_logits, axis=0))
 
     if store is None or cache is None:
@@ -593,5 +573,5 @@ def score_dataset(
         refs = np.stack(
             [retrieve_references(r.utt_id, store, lookup, k) for r in batch]
         ).astype(np.float64)
-        all_logits.append(_radmfa_forward_batch(queries, refs, params).data)
+        all_logits.append(radmfa_forward(queries, refs, params).data)
     return _scores_from_logits(records, np.concatenate(all_logits, axis=0))

@@ -11,15 +11,13 @@ to attention-weighted mean and standard deviation, concatenated to 2D.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, GradCheckError, InvalidInputError
-from .radf import unpack_payload
+from .radf import pack_payload, unpack_payload
 
 ASP_EPS = 1e-6
 
@@ -30,9 +28,11 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or bool(_vjps)
         # (parent, fn) pairs; fn maps this node's cotangent to the parent's
         self._vjps = tuple(_vjps)
+        # an op output needs a gradient only if some input does, so backward
+        # skips subgraphs built from constants alone
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p, _ in self._vjps)
 
     @property
     def shape(self):
@@ -442,6 +442,10 @@ _CKPT_MAGIC = "RADP 1"
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> None:
+    """Write float32 payloads under a text header of one field per line."""
+    texts = [*meta, *meta.values(), *tensors]
+    if any("\n" in text for text in texts) or any(" " in key for key in meta):
+        raise InvalidInputError("checkpoint names and meta must be single-line, meta keys unspaced")
     names = sorted(tensors)
     lines = [_CKPT_MAGIC]
     for key in sorted(meta):
@@ -451,22 +455,21 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) 
         lines.append(f"tensor {name} {dims or 'scalar'}")
     lines.append("end")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    body = bytearray()
-    for name in names:
-        raw = np.ascontiguousarray(tensors[name], dtype="<f4").tobytes()
-        body += raw + struct.pack("<I", zlib.crc32(raw))
+    body = b"".join(pack_payload(tensors[name]) for name in names)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(header + bytes(body))
+    path.write_bytes(header + body)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     blob = Path(path).read_bytes()
+    # every header line starts with "meta " or "tensor ", so the first whole
+    # "end" line is the terminator wherever "end" appears inside a value
     try:
-        header_end = blob.index(b"end\n") + 4
+        header_end = blob.index(b"\nend\n") + 5
     except ValueError:
         raise FormatError(f"{path}: missing header terminator") from None
-    header_lines = blob[:header_end].decode("utf-8").splitlines()
+    header_lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
     if not header_lines or header_lines[0] != _CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
     meta: dict[str, str] = {}

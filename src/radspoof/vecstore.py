@@ -9,8 +9,6 @@ total-ordered and reproducible. Zero-norm vectors are never retrieved.
 from __future__ import annotations
 
 import struct
-import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +16,10 @@ import numpy as np
 
 from .corpus import LABEL_BONAFIDE, ManifestRecord
 from .encoder import CacheIndex
-from .errors import FormatError, IncompatibilityError, QueryError, StoreBuildError
+from .errors import (
+    FormatError, IncompatibilityError, QueryError, StoreBuildError, StoreNotFoundError
+)
+from .radf import pack_payload, unpack_payload
 
 DEFAULT_DB_SPLITS = frozenset({"train", "dev", "retrieval_extra"})
 
@@ -55,7 +56,6 @@ class StoreSet:
     feat_dim: int
     tau: int
     fingerprint: str
-    built_at: str
     utt_ids: list[str]
     speaker_ids: list[str]
     short_paths: list[str]
@@ -168,7 +168,6 @@ def build_stores(
         feat_dim=cache.feat_dim,
         tau=cache.tau,
         fingerprint=cache.fingerprint,
-        built_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
         short_paths=short_paths,
@@ -194,7 +193,7 @@ def persist_stores(store: StoreSet, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     meta = (
         f"n_layers={store.n_layers}\nfeat_dim={store.feat_dim}\ntau={store.tau}\n"
-        f"fingerprint={store.fingerprint}\nbuilt_at={store.built_at}\ncount={store.count}\n"
+        f"fingerprint={store.fingerprint}\ncount={store.count}\n"
     )
     (directory / "meta.txt").write_text(meta, encoding="utf-8")
     lines = [
@@ -205,10 +204,8 @@ def persist_stores(store: StoreSet, directory) -> None:
         ("\n".join(lines) + "\n") if lines else "", encoding="utf-8"
     )
     for layer, vectors in enumerate(store.vectors):
-        raw = np.ascontiguousarray(vectors, dtype="<f4").tobytes()
         header = _LAYER_HEADER.pack(_LAYER_MAGIC, 1, vectors.shape[0], vectors.shape[1])
-        payload = header + raw + struct.pack("<I", zlib.crc32(raw))
-        (directory / f"layer{layer:02d}.vec").write_bytes(payload)
+        (directory / f"layer{layer:02d}.vec").write_bytes(header + pack_payload(vectors))
 
 
 def _read_layer_file(path: Path) -> np.ndarray:
@@ -218,13 +215,7 @@ def _read_layer_file(path: Path) -> np.ndarray:
     magic, version, n, dim = _LAYER_HEADER.unpack_from(blob)
     if magic != _LAYER_MAGIC or version != 1:
         raise FormatError(f"{path}: bad magic or version")
-    body = blob[_LAYER_HEADER.size:]
-    if len(body) != n * dim * 4 + 4:
-        raise FormatError(f"{path}: payload length mismatch")
-    raw, (crc,) = body[:-4], struct.unpack("<I", body[-4:])
-    if zlib.crc32(raw) != crc:
-        raise FormatError(f"{path}: checksum mismatch")
-    return np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
+    return unpack_payload(blob[_LAYER_HEADER.size:], n * dim, context=str(path)).reshape(n, dim)
 
 
 def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
@@ -232,31 +223,37 @@ def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
     directory = Path(directory)
     meta_path = directory / "meta.txt"
     if not meta_path.exists():
-        raise FileNotFoundError(f"no store at {directory}")
-    meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if line)
-    if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
+        raise StoreNotFoundError(f"no store at {directory}")
+    try:
+        meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if line)
+        n_layers, feat_dim, tau = (int(meta[key]) for key in ("n_layers", "feat_dim", "tau"))
+        fingerprint = meta["fingerprint"]
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{meta_path}: malformed store metadata ({exc})") from None
+    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise IncompatibilityError(
-            f"store fingerprint {meta['fingerprint']} != expected {expected_fingerprint}"
+            f"store fingerprint {fingerprint} != expected {expected_fingerprint}"
         )
-    n_layers = int(meta["n_layers"])
+    try:
+        records_text = (directory / "records.tsv").read_text(encoding="utf-8")
+        vectors = [_read_layer_file(directory / f"layer{l:02d}.vec") for l in range(n_layers)]
+    except FileNotFoundError as exc:
+        raise FormatError(f"{directory}: incomplete store, no {exc.filename}") from None
     utt_ids, speaker_ids, short_paths = [], [], []
-    records_text = (directory / "records.tsv").read_text(encoding="utf-8")
     for line in records_text.splitlines():
         if line:
             _, utt, speaker, path = line.split("\t")
             utt_ids.append(utt)
             speaker_ids.append(speaker)
             short_paths.append(path)
-    vectors = [_read_layer_file(directory / f"layer{l:02d}.vec") for l in range(n_layers)]
     for v in vectors:
         if v.shape[0] != len(utt_ids):
             raise FormatError(f"{directory}: layer count {v.shape[0]} != records {len(utt_ids)}")
     return StoreSet(
         n_layers=n_layers,
-        feat_dim=int(meta["feat_dim"]),
-        tau=int(meta["tau"]),
-        fingerprint=meta["fingerprint"],
-        built_at=meta["built_at"],
+        feat_dim=feat_dim,
+        tau=tau,
+        fingerprint=fingerprint,
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
         short_paths=short_paths,

@@ -81,7 +81,6 @@ def test_criterion_2_retrieval_exactness():
         feat_dim=dim,
         tau=10,
         fingerprint="synthetic",
-        built_at="-",
         utt_ids=[f"u{i}" for i in range(n)],
         speaker_ids=[f"spk{i % 20}" for i in range(n)],
         short_paths=[f"{i}.radf" for i in range(n)],
@@ -169,7 +168,7 @@ def test_criterion_4_untrained_models_score_near_chance(toy):
             mels = np.stack(
                 [mel_frames(load_segment(toy.manifest_dir, r).samples, 32) for r in batch]
             )
-            logits = model._baseline_forward_mel(mels, params, toy.base_cfg, tau=10)
+            logits = model.baseline_forward(mels, params, toy.base_cfg, tau=10)
             all_logits.append(logits.data)
         scores = model._scores_from_logits(eval_records, np.concatenate(all_logits))
         eers.append(pooled_eer(scores).eer)

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from radspoof.cli import main
@@ -136,6 +138,34 @@ def test_eval_missing_store_is_usage_error(workspace):
         "--manifest", str(manifest), "--out", str(root / "x.tsv"),
     ])
     assert code == 2
+
+
+def test_eval_missing_store_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, _ = workspace
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(tmp_path / "missing"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    broken = tmp_path / "store"
+    shutil.copytree(store_dir, broken)
+    meta = broken / "meta.txt"
+    meta.write_text("".join(
+        l for l in meta.read_text().splitlines(keepends=True) if not l.startswith("n_layers=")
+    ))
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(broken),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gradcheck_exits_zero(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radspoof import radf
+from radspoof import encoder, radf
 from radspoof.corpus import CorpusConfig, segment_clip, synthesize_corpus, write_corpus
 from radspoof.encoder import (
     CacheIndex,
@@ -13,6 +13,8 @@ from radspoof.encoder import (
     frame_count,
     layer_mixer,
     load_feature,
+    mel_filterbank,
+    mel_frames,
     temporal_embed,
     time_speedup,
 )
@@ -80,6 +82,16 @@ def test_trainable_params_change_downstream_layers():
     plain = encode_long(segment, cfg)
     shifted = encode_long(segment, tuned)
     assert not np.allclose(plain.values[1], shifted.values[1])
+
+
+def test_cached_filterbank_gives_identical_mel_frames(monkeypatch):
+    samples = one_segment().samples
+    cached = [mel_frames(samples, 16) for _ in range(2)]
+    assert not mel_filterbank(16).flags.writeable
+    monkeypatch.setattr(encoder, "mel_filterbank", mel_filterbank.__wrapped__)
+    fresh = mel_frames(samples, 16)
+    for got in cached:
+        assert np.array_equal(got, fresh)
 
 
 def test_mixers_are_orthogonal():

@@ -4,7 +4,7 @@ import pytest
 from radspoof import model, nn, vecstore
 from radspoof.cli import mfa_grad_check, radmfa_grad_check
 from radspoof.corpus import CorpusConfig, write_corpus
-from radspoof.encoder import EncoderConfig, extract_and_cache
+from radspoof.encoder import EncoderConfig, extract_and_cache, mel_frames
 from radspoof.errors import ConfigurationError, InvalidInputError
 from radspoof.metrics import pooled_eer
 from radspoof.model import (
@@ -55,23 +55,23 @@ def test_radmfa_shapes():
     params = init_radmfa(4, 16, rng)
     assert params.sample_pool.attn_w.data.shape[0] == 64  # 4F in
     assert params.head_w.data.shape == (192, 2)  # 12F -> 2
-    query = rng.standard_normal((1, 4, 5, 16))
-    refs = rng.standard_normal((10, 4, 5, 16))
-    logits = radmfa_forward(query, refs, params)
-    assert logits.data.shape == (1, 2)
+    queries = rng.standard_normal((3, 4, 5, 16))
+    refs = rng.standard_normal((3, 10, 4, 5, 16))
+    logits = radmfa_forward(queries, refs, params)
+    assert logits.data.shape == (3, 2)
 
 
 def test_radmfa_refs_equal_query_zero_difference():
     rng = np.random.default_rng(5)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = np.repeat(query, 5, axis=0)
+    refs = np.repeat(query[:, None], 5, axis=1)
     feat_dim = 8
     head_in = np.concatenate(
         [np.zeros(4 * feat_dim), np.full(4 * feat_dim, np.sqrt(nn.ASP_EPS))]
     )
     # query branch appended after the pooled difference
-    reprs = mfa_forward(np.concatenate([query, refs], axis=0), params.mfa).data
+    reprs = mfa_forward(np.concatenate([query, refs[0]], axis=0), params.mfa).data
     expected = np.concatenate([head_in, reprs[0]]) @ params.head_w.data + params.head_b.data
     logits = radmfa_forward(query, refs, params)
     assert np.array_equal(logits.data[0], expected)
@@ -82,34 +82,26 @@ def test_just_difference_constant_for_equal_refs():
     params = init_radmfa(3, 8, rng, just_difference=True)
     assert params.head_w.data.shape == (64, 2)  # 8F -> 2
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = np.repeat(query, 4, axis=0)
+    refs = np.repeat(query[:, None], 4, axis=1)
     feat_dim = 8
     head_in = np.concatenate(
         [np.zeros(4 * feat_dim), np.full(4 * feat_dim, np.sqrt(nn.ASP_EPS))]
     )
     expected = head_in @ params.head_w.data + params.head_b.data
-    logits = model.just_difference_forward(query, refs, params)
+    logits = radmfa_forward(query, refs, params)
     assert np.array_equal(logits.data[0], expected)
     other_query = rng.standard_normal((1, 3, 4, 8))
-    again = model.just_difference_forward(other_query, np.repeat(other_query, 4, axis=0), params)
+    again = radmfa_forward(other_query, np.repeat(other_query[:, None], 4, axis=1), params)
     assert np.array_equal(again.data[0], expected)
-
-
-def test_just_difference_requires_matching_params():
-    rng = np.random.default_rng(7)
-    params = init_radmfa(3, 8, rng, just_difference=False)
-    query = rng.standard_normal((1, 3, 4, 8))
-    with pytest.raises(ConfigurationError):
-        model.just_difference_forward(query, np.repeat(query, 2, axis=0), params)
 
 
 def test_k_identical_copies_match_k1():
     rng = np.random.default_rng(8)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    ref = rng.standard_normal((1, 3, 4, 8))
+    ref = rng.standard_normal((1, 1, 3, 4, 8))
     one = radmfa_forward(query, ref, params).data
-    many = radmfa_forward(query, np.repeat(ref, 7, axis=0), params).data
+    many = radmfa_forward(query, np.repeat(ref, 7, axis=1), params).data
     assert np.max(np.abs(one - many)) < 1e-9
 
 
@@ -117,11 +109,11 @@ def test_reference_permutation_invariance():
     rng = np.random.default_rng(9)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = rng.standard_normal((6, 3, 4, 8))
+    refs = rng.standard_normal((1, 6, 3, 4, 8))
     base = radmfa_forward(query, refs, params).data
     for _ in range(3):
         perm = rng.permutation(6)
-        shuffled = radmfa_forward(query, refs[perm], params).data
+        shuffled = radmfa_forward(query, refs[:, perm], params).data
         assert np.max(np.abs(base - shuffled)) < 1e-9
 
 
@@ -130,14 +122,24 @@ def test_radmfa_empty_refs_rejected():
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
     with pytest.raises(InvalidInputError):
-        radmfa_forward(query, np.zeros((0, 3, 4, 8)), params)
+        radmfa_forward(query, np.zeros((1, 0, 3, 4, 8)), params)
+
+
+def test_radmfa_mismatched_batch_rejected():
+    rng = np.random.default_rng(10)
+    params = init_radmfa(3, 8, rng)
+    queries = rng.standard_normal((2, 3, 4, 8))
+    with pytest.raises(InvalidInputError):
+        radmfa_forward(queries, rng.standard_normal((3, 2, 3, 4, 8)), params)
+    with pytest.raises(InvalidInputError):  # refs without the batch axis
+        radmfa_forward(queries, rng.standard_normal((2, 3, 4, 8)), params)
 
 
 def test_radmfa_gradient_end_to_end():
     rng = np.random.default_rng(11)
-    query = rng.standard_normal((1, 3, 4, 8))
-    refs = rng.standard_normal((3, 3, 4, 8))
-    assert radmfa_grad_check(query, refs, rng, max_coords=120) < 1e-4
+    queries = rng.standard_normal((2, 3, 4, 8))
+    refs = rng.standard_normal((2, 3, 3, 4, 8))
+    assert radmfa_grad_check(queries, refs, rng, max_coords=120) < 1e-4
 
 
 def test_batched_forward_matches_single():
@@ -145,9 +147,9 @@ def test_batched_forward_matches_single():
     params = init_radmfa(3, 8, rng)
     queries = rng.standard_normal((4, 3, 5, 8))
     refs = rng.standard_normal((4, 6, 3, 5, 8))
-    batched = model._radmfa_forward_batch(queries, refs, params).data
+    batched = radmfa_forward(queries, refs, params).data
     for i in range(4):
-        single = radmfa_forward(queries[i : i + 1], refs[i], params).data
+        single = radmfa_forward(queries[i : i + 1], refs[i : i + 1], params).data
         assert np.max(np.abs(batched[i] - single[0])) < 1e-9
 
 
@@ -155,7 +157,7 @@ def test_score_sign_stable_under_positive_head_scaling():
     rng = np.random.default_rng(13)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = rng.standard_normal((5, 3, 4, 8))
+    refs = rng.standard_normal((1, 5, 3, 4, 8))
     base = radmfa_forward(query, refs, params).data[0]
     base_score = base[model.CLASS_BONAFIDE] - base[model.CLASS_SPOOF]
     for c in (0.5, 2.0, 13.0):
@@ -192,14 +194,14 @@ def test_baseline_forward_contract(tiny_setup):
     root, records, encoder_cfg, _, _ = tiny_setup
     from radspoof.corpus import load_segment
 
-    segments = [load_segment(root, r) for r in records[:5]]
+    mels = np.stack([mel_frames(load_segment(root, r).samples, 16) for r in records[:5]])
     rng = np.random.default_rng(14)
     params = init_baseline(3, 16, rng)
-    logits = baseline_forward(segments, params, encoder_cfg, tau=10)
+    logits = baseline_forward(mels, params, encoder_cfg, tau=10)
     assert logits.data.shape == (5, 2)
     with pytest.raises(ConfigurationError):
-        baseline_forward(segments, params, EncoderConfig(kind="pseudo", n_layers=3,
-                                                         feat_dim=16, seed=3), tau=10)
+        baseline_forward(mels, params, EncoderConfig(kind="pseudo", n_layers=3,
+                                                     feat_dim=16, seed=3), tau=10)
 
 
 def test_untrained_eer_near_chance(tiny_setup):
@@ -216,7 +218,7 @@ def test_untrained_eer_near_chance(tiny_setup):
         refs = np.stack(
             [model.retrieve_references(r.utt_id, store, lookup, 5) for r in eval_records]
         ).astype(float)
-        logits = model._radmfa_forward_batch(queries, refs, params).data
+        logits = radmfa_forward(queries, refs, params).data
         scores = model._scores_from_logits(eval_records, logits)
         eers.append(pooled_eer(scores).eer)
     assert 0.15 <= float(np.median(eers)) <= 0.85

@@ -287,3 +287,29 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"WRONG 9\nend\n")
     with pytest.raises(FormatError):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_meta_value_ending_in_end(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = {"end": np.ones((2, 2), dtype=np.float32), "w": np.arange(3, dtype=np.float32)}
+    meta = {"note": "legend", "tail": "end", "kind": "x"}
+    nn.save_checkpoint(path, tensors, meta)
+    loaded, loaded_meta = nn.load_checkpoint(path)
+    assert loaded_meta == meta
+    for name in tensors:
+        assert np.array_equal(loaded[name], tensors[name])
+
+
+@pytest.mark.parametrize(
+    "tensors, meta",
+    [
+        ({"w": np.ones(2)}, {"note": "leg\nend"}),
+        ({"w": np.ones(2)}, {"no\nte": "x"}),
+        ({"w": np.ones(2)}, {"no te": "x"}),
+        ({"w\nend": np.ones(2)}, {"note": "x"}),
+    ],
+)
+def test_checkpoint_rejects_header_breaking_text(tmp_path, tensors, meta):
+    with pytest.raises(InvalidInputError):
+        nn.save_checkpoint(tmp_path / "model.ckpt", tensors, meta)
+    assert not (tmp_path / "model.ckpt").exists()

@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from radspoof import vecstore
 from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache
-from radspoof.errors import IncompatibilityError, QueryError, StoreBuildError
+from radspoof.errors import FormatError, IncompatibilityError, QueryError, StoreBuildError
 from radspoof.vecstore import StoreSet, build_stores, load_stores, persist_stores, speaker_consistency
 
 
@@ -19,7 +21,6 @@ def make_store(vectors_per_layer, utt_ids=None, speaker_ids=None):
         feat_dim=vectors_per_layer[0].shape[1],
         tau=10,
         fingerprint="test",
-        built_at="2000-01-01T00:00:00",
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
         short_paths=[f"short/{u}.radf" for u in utt_ids],
@@ -241,3 +242,46 @@ def test_load_fingerprint_mismatch(cached_corpus, tmp_path):
 def test_load_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_stores(tmp_path / "nothing")
+
+
+def test_persist_twice_gives_identical_directories(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path / "a")
+    persist_stores(load_stores(tmp_path / "a"), tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_layer_file_keeps_radv_framing(tmp_path):
+    vectors = np.arange(6, dtype=np.float32).reshape(3, 2)
+    persist_stores(make_store([vectors]), tmp_path)
+    raw = vectors.astype("<f4").tobytes()
+    expected = (
+        b"RADV" + struct.pack("<HII", 1, 3, 2) + raw + struct.pack("<I", zlib.crc32(raw))
+    )
+    assert (tmp_path / "layer00.vec").read_bytes() == expected
+
+
+@pytest.mark.parametrize("drop", ["n_layers", "fingerprint"])
+def test_load_meta_missing_key_is_format_error(cached_corpus, tmp_path, drop):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    meta = tmp_path / "meta.txt"
+    lines = meta.read_text().splitlines()
+    meta.write_text("\n".join(l for l in lines if not l.startswith(drop + "=")) + "\n")
+    with pytest.raises(FormatError):
+        load_stores(tmp_path)
+
+
+@pytest.mark.parametrize("victim", ["records.tsv", "layer01.vec"])
+def test_load_incomplete_store_is_format_error(cached_corpus, tmp_path, victim):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    (tmp_path / victim).unlink()
+    with pytest.raises(FormatError, match=victim):
+        load_stores(tmp_path)
