@@ -11,6 +11,8 @@ Two reductions operate on the (L, T', F) long feature:
   * temporal embedding: per-layer mean over frames, the retrieval key
   * time speedup: mean over consecutive frame blocks of length tau
     (the final block may be shorter and is averaged over its actual length)
+
+The embedding does not depend on tau, so a cache extracted at tau=1 serves every tau.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import radf
+from . import nn, radf
 from .corpus import (
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
@@ -34,6 +36,7 @@ from .errors import (
     CacheCorruptionError,
     ConfigurationError,
     FeatureLoadError,
+    FormatError,
     IncompatibilityError,
     InvalidInputError,
 )
@@ -213,13 +216,8 @@ def time_speedup(feature: LongFeature, tau: int) -> ShortFeature:
     """Mean over consecutive frame blocks of length tau; T = ceil(T'/tau)."""
     if tau < 1:
         raise ConfigurationError("tau must be >= 1")
-    values = np.asarray(feature.values, dtype=np.float64)
-    n_frames = values.shape[1]
-    starts = np.arange(0, n_frames, tau)
-    lengths = np.diff(np.append(starts, n_frames)).astype(np.float64)
-    sums = np.add.reduceat(values, starts, axis=1)
     return ShortFeature(
-        values=sums / lengths[None, :, None],
+        values=nn.block_mean(feature.values, tau, axis=1).data,
         tau=tau,
         segment_ref=feature.segment_ref,
     )
@@ -247,16 +245,28 @@ class CacheIndex:
     feat_dim: int
     entries: dict[str, tuple[str, str]]  # utt_id -> (short path, embedding path)
 
+    def _entry(self, utt_id: str) -> tuple[str, str]:
+        try:
+            return self.entries[utt_id]
+        except KeyError:
+            raise FeatureLoadError(f"{utt_id!r} is not in the cache at {self.root}") from None
+
     def short_path(self, utt_id: str) -> Path:
-        return self.root / self.entries[utt_id][0]
+        return self.root / self._entry(utt_id)[0]
 
     def embedding_path(self, utt_id: str) -> Path:
-        return self.root / self.entries[utt_id][1]
+        return self.root / self._entry(utt_id)[1]
 
-    def load_short(self, utt_id: str) -> ShortFeature:
+    def load_short(self, utt_id: str, tau: int | None = None) -> ShortFeature:
+        """Short feature at `tau`, by default the cache's own; a tau=1 cache
+        serves any tau by block mean, any other cache only its own."""
         feature = load_feature(self.short_path(utt_id))
         feature.tau = self.tau
-        return feature
+        if tau is None or tau == self.tau:
+            return feature
+        if self.tau != 1:
+            raise IncompatibilityError(f"cache at {self.root} holds tau={self.tau}, not tau={tau}")
+        return time_speedup(LongFeature(feature.values, feature.segment_ref), tau)
 
     def load_embedding(self, utt_id: str) -> LayerEmbedding:
         return load_feature(self.embedding_path(utt_id))
@@ -276,20 +286,25 @@ class CacheIndex:
         meta_path = root / "meta.txt"
         if not meta_path.exists():
             raise FeatureLoadError(f"no cache at {root}")
-        meta = dict(
-            line.split("=", 1) for line in meta_path.read_text().splitlines() if line
-        )
-        entries = {}
-        for line in (root / "index.tsv").read_text().splitlines():
-            if line:
-                utt, short, embed = line.split("\t")
-                entries[utt] = (short, embed)
+        try:
+            meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if line)
+            tau, n_layers, feat_dim = (int(meta[key]) for key in ("tau", "n_layers", "feat_dim"))
+            fingerprint = meta["fingerprint"]
+            entries = {}
+            for line in (root / "index.tsv").read_text().splitlines():
+                if line:
+                    utt, short, embed = line.split("\t")
+                    entries[utt] = (short, embed)
+        except FileNotFoundError:
+            raise FormatError(f"{root}: incomplete cache, no index.tsv") from None
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"{root}: malformed cache meta.txt or index.tsv ({exc})") from None
         return cls(
             root=root,
-            fingerprint=meta["fingerprint"],
-            tau=int(meta["tau"]),
-            n_layers=int(meta["n_layers"]),
-            feat_dim=int(meta["feat_dim"]),
+            fingerprint=fingerprint,
+            tau=tau,
+            n_layers=n_layers,
+            feat_dim=feat_dim,
             entries=entries,
         )
 
@@ -325,18 +340,18 @@ def extract_and_cache(
         raise ConfigurationError("tau must be >= 1")
     cache_dir = Path(cache_dir)
     fingerprint = encoder_fingerprint(cfg)
-    meta_path = cache_dir / "meta.txt"
-    if meta_path.exists():
+    entries: dict[str, tuple[str, str]] = {}  # earlier calls' entries stay indexed
+    if (cache_dir / "meta.txt").exists():
         existing = CacheIndex.load(cache_dir)
         if existing.fingerprint != fingerprint or existing.tau != tau:
             raise IncompatibilityError(
                 f"cache at {cache_dir} was built with a different encoder/tau; "
                 "use a fresh directory"
             )
+        entries = existing.entries
     (cache_dir / "short").mkdir(parents=True, exist_ok=True)
     (cache_dir / "embed").mkdir(parents=True, exist_ok=True)
 
-    entries: dict[str, tuple[str, str]] = {}
     for record in records:
         short_rel = f"short/{record.utt_id}.radf"
         embed_rel = f"embed/{record.utt_id}.radf"

@@ -46,6 +46,10 @@ class StoreNotFoundError(RadspoofError, FileNotFoundError):
     """No persisted vector store exists at the given directory."""
 
 
+class CheckpointNotFoundError(RadspoofError, FileNotFoundError):
+    """No checkpoint file exists at the given path."""
+
+
 class QueryError(RadspoofError):
     """A retrieval query is malformed (e.g. dimension mismatch)."""
 

@@ -8,11 +8,12 @@ stable on small evaluation sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import LABEL_BONAFIDE, LABEL_SPOOF
-from .errors import ManifestParseError, MetricUndefinedError
+from .errors import InvalidInputError, ManifestParseError, MetricUndefinedError
 
 
 @dataclass
@@ -34,6 +35,8 @@ def det_points(records: list[ScoreRecord]) -> list[tuple[float, float, float]]:
     Thresholds ascend; a final sentinel beyond the maximum score gives the
     (FAR=0, FRR=1) endpoint.
     """
+    if not all(math.isfinite(r.score) for r in records):
+        raise InvalidInputError("scores must be finite")
     bona = sorted(r.score for r in records if r.label == LABEL_BONAFIDE)
     spoof = sorted(r.score for r in records if r.label == LABEL_SPOOF)
     if not bona or not spoof:

@@ -259,16 +259,18 @@ def baseline_forward(
 
 
 class FeatureLookup:
-    """Memoized access to cached short features and embeddings by utt_id."""
+    """Memoized access to cached embeddings and to short features at `tau`
+    (default: the cache's own) by utt_id."""
 
-    def __init__(self, cache: CacheIndex):
+    def __init__(self, cache: CacheIndex, tau: int | None = None):
         self.cache = cache
+        self.tau = tau
         self._short: dict[str, np.ndarray] = {}
         self._embed: dict[str, np.ndarray] = {}
 
     def short(self, utt_id: str) -> np.ndarray:
         if utt_id not in self._short:
-            self._short[utt_id] = self.cache.load_short(utt_id).values.astype(np.float32)
+            self._short[utt_id] = self.cache.load_short(utt_id, self.tau).values.astype(np.float32)
         return self._short[utt_id]
 
     def embedding(self, utt_id: str) -> np.ndarray:
@@ -372,7 +374,7 @@ class _RadRunner:
         if store.fingerprint != cache.fingerprint:
             raise IncompatibilityError("store and cache were built from different encoders")
         self.hyper = hyper
-        self.lookup = FeatureLookup(cache)
+        self.lookup = FeatureLookup(cache, hyper.tau)
         self.store = store
         rng = np.random.default_rng(np.random.SeedSequence((hyper.seed, 502)))
         self.params = init_radmfa(
@@ -523,14 +525,16 @@ def score_dataset(
     store: StoreSet | None = None,
     cache: CacheIndex | None = None,
     k_refs: int | None = None,
+    tau: int | None = None,
     batch_size: int = 32,
 ) -> list[ScoreRecord]:
-    """Score records with a trained checkpoint; deterministic."""
+    """Score records with a trained checkpoint; deterministic. `k_refs` and
+    `tau` default to the checkpoint's."""
     arrays, meta = nn.load_checkpoint(checkpoint_path)
     if meta["kind"] != kind:
         raise IncompatibilityError(f"checkpoint is kind {meta['kind']}, requested {kind}")
     n_layers, feat_dim = int(meta["n_layers"]), int(meta["feat_dim"])
-    tau = int(meta["tau"])
+    tau = tau if tau is not None else int(meta["tau"])
     k = k_refs if k_refs is not None else int(meta["k_refs"])
 
     if kind == "baseline":
@@ -565,7 +569,7 @@ def score_dataset(
             "checkpoint was trained on features from a different encoder"
         )
     params = _rebuild_radmfa(arrays, n_layers, feat_dim, kind == "just_difference")
-    lookup = FeatureLookup(cache)
+    lookup = FeatureLookup(cache, tau)
     all_logits = []
     for start in range(0, len(records), batch_size):
         batch = records[start : start + batch_size]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GradCheckError, InvalidInputError
+from .errors import CheckpointNotFoundError, FormatError, GradCheckError, InvalidInputError
 from .radf import pack_payload, unpack_payload
 
 ASP_EPS = 1e-6
@@ -462,29 +462,35 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise CheckpointNotFoundError(f"no checkpoint at {path}") from None
     # every header line starts with "meta " or "tensor ", so the first whole
     # "end" line is the terminator wherever "end" appears inside a value
     try:
         header_end = blob.index(b"\nend\n") + 5
+        header_lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
     except ValueError:
-        raise FormatError(f"{path}: missing header terminator") from None
-    header_lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
+        raise FormatError(f"{path}: missing header terminator or non-UTF-8 header") from None
     if not header_lines or header_lines[0] != _CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
     meta: dict[str, str] = {}
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for line in header_lines[1:-1]:
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
-            key, value = rest.split(" ", 1)
-            meta[key] = value
-        elif kind == "tensor":
-            name, dims = rest.rsplit(" ", 1)
-            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-            shapes.append((name, shape))
-        else:
-            raise FormatError(f"{path}: unknown header line {line!r}")
+        try:
+            kind, rest = line.split(" ", 1)
+            if kind == "meta":
+                key, value = rest.split(" ", 1)
+                meta[key] = value
+            elif kind == "tensor":
+                name, dims = rest.rsplit(" ", 1)
+                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+                shapes.append((name, shape))
+            else:
+                raise FormatError(f"{path}: unknown header line {line!r}")
+        except ValueError:
+            raise FormatError(f"{path}: malformed header line {line!r}") from None
     tensors: dict[str, np.ndarray] = {}
     offset = header_end
     for name, shape in shapes:

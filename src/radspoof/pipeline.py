@@ -1,10 +1,10 @@
 """End-to-end experiment orchestration.
 
 One seed experiment = train the fine-tuning baseline, freeze its tuned
-encoder, re-extract and cache features, build the bonafide retrieval
-store, train the retrieval-augmented model, and score the eval split.
-The ablation grid and the temporal-compression sweep reuse each seed's
-baseline and feature cache.
+encoder, cache its features at tau=1, build the bonafide retrieval store,
+train the retrieval-augmented model, and score the eval split. The
+ablation grid and the compression sweep reuse each seed's baseline, cache
+and store; every tau is derived from the cached tau=1 frames.
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ def run_seed_experiment(
     )
 
     tuned_cfg = model.tuned_encoder_from_checkpoint(baseline.checkpoint_path, base_cfg)
-    cache = extract_and_cache(
-        records, manifest_dir, tuned_cfg, hyper.tau, workdir / f"cache_seed{seed}"
-    )
+    cache = extract_and_cache(records, manifest_dir, tuned_cfg, 1, workdir / f"cache_seed{seed}")
     store, _ = vecstore.build_stores(
         records, cache, bonafide_only=True, splits=EXPERIMENT_DB_SPLITS
     )
@@ -233,34 +231,24 @@ def score_at_tau(
     outcome: SeedOutcome,
     tau: int,
 ) -> float:
-    """Score a trained model on features compressed at a different rate.
+    """Score the seed's trained model on features compressed at `tau`.
 
     The pooling layers are length-agnostic, so the checkpoint trained at
-    the default compression scores features of any block length; retrieval
-    is unchanged because embeddings do not depend on the compression.
+    the default compression scores features of any block length. The seed's
+    tau=1 cache derives them, and its store serves retrieval unchanged
+    because embeddings do not depend on the compression.
     """
-    workdir = Path(workdir)
-    eval_records = [r for r in records if r.split == "eval"]
-    cache = extract_and_cache(
-        records,
-        manifest_dir,
-        outcome.tuned_cfg,
-        tau,
-        workdir / f"cache_seed{outcome.seed}_tau{tau}",
-    )
-    store, _ = vecstore.build_stores(
-        records, cache, bonafide_only=True, splits=EXPERIMENT_DB_SPLITS
-    )
     scores = model.score_dataset(
         "radmfa",
         outcome.rad_ckpt,
-        eval_records,
+        [r for r in records if r.split == "eval"],
         manifest_dir,
-        store=store,
-        cache=cache,
+        store=outcome.store,
+        cache=outcome.cache,
+        tau=tau,
     )
     return _score_and_write(
-        scores, workdir / "scores" / f"radmfa_seed{outcome.seed}_tau{tau}.tsv"
+        scores, Path(workdir) / "scores" / f"radmfa_seed{outcome.seed}_tau{tau}.tsv"
     )
 
 

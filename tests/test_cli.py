@@ -168,6 +168,95 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_eval_missing_checkpoint_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", str(tmp_path / "nope.ckpt"),
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(store_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_malformed_checkpoint_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    checkpoint = tmp_path / "bad.ckpt"
+    checkpoint.write_bytes(b"RADP 1\nmetakind\nend\n")
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", str(checkpoint),
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(store_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _drop_feat_dim(cache):
+    meta = cache / "meta.txt"
+    meta.write_text("".join(
+        l for l in meta.read_text().splitlines(keepends=True) if not l.startswith("feat_dim=")
+    ))
+
+
+@pytest.mark.parametrize(
+    "break_cache",
+    [lambda cache: (cache / "index.tsv").unlink(), _drop_feat_dim],
+    ids=["no_index", "meta_missing_key"],
+)
+def test_builddb_broken_cache_fails_with_error_line(workspace, tmp_path, capsys, break_cache):
+    root, manifest, cache_dir, _ = workspace
+    broken = tmp_path / "cache"
+    shutil.copytree(cache_dir, broken)
+    break_cache(broken)
+    code = main([
+        "build-db", "--manifest", str(manifest), "--cache", str(broken),
+        "--store", str(tmp_path / "store"), "--splits", "train",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_retrieve_unknown_utt_fails_with_error_line(workspace, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    code = main([
+        "retrieve", "--manifest", str(manifest), "--cache", str(cache_dir),
+        "--store", str(store_dir), "--utt", "nope", "--k", "3",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_derives_checkpoint_tau_from_tau_one_cache(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    assert main([
+        "train", "--kind", "radmfa", "--manifest", str(manifest),
+        "--out", str(tmp_path / "ck"), "--name", "rad", "--epochs", "1", "--batch", "8",
+        "--cache", str(cache_dir), "--store", str(store_dir), "--k", "3",
+    ]) == 0
+    outputs = {}
+    for tau in ("1", "10", "5"):
+        cache = tmp_path / f"cache_tau{tau}"
+        assert main([
+            "extract", "--manifest", str(manifest), "--cache", str(cache),
+            "--tau", tau, "--layers", "3", "--dim", "16",
+        ]) == 0
+        outputs[tau] = tmp_path / f"scores_tau{tau}.tsv"
+        capsys.readouterr()
+        code = main([
+            "eval", "--kind", "radmfa", "--checkpoint", str(tmp_path / "ck" / "rad.ckpt"),
+            "--manifest", str(manifest), "--out", str(outputs[tau]),
+            "--cache", str(cache), "--store", str(store_dir),
+        ])
+        if tau == "5":
+            # a tau=5 cache cannot serve the tau=10 checkpoint
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert code == 0
+    assert outputs["1"].read_bytes() == outputs["10"].read_bytes()
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -22,8 +22,10 @@ from radspoof.errors import (
     CacheCorruptionError,
     ConfigurationError,
     FeatureLoadError,
+    FormatError,
     IncompatibilityError,
 )
+from radspoof.model import FeatureLookup
 
 
 def tiny_cfg(**overrides):
@@ -258,6 +260,71 @@ def test_extract_cache_refuses_other_encoder(small_corpus, tmp_path):
         extract_and_cache(records, root, tiny_cfg(seed=6), tau=10, cache_dir=cache_dir)
     with pytest.raises(IncompatibilityError):
         extract_and_cache(records, root, tiny_cfg(), tau=5, cache_dir=cache_dir)
+
+
+def test_extract_cache_keeps_earlier_entries(small_corpus, tmp_path):
+    root, records = small_corpus
+    cache_dir = tmp_path / "c"
+    extract_and_cache(records[:4], root, tiny_cfg(), tau=10, cache_dir=cache_dir)
+    cache = extract_and_cache(records[4:], root, tiny_cfg(), tau=10, cache_dir=cache_dir)
+    assert sorted(cache.entries) == sorted(r.utt_id for r in records)
+    assert CacheIndex.load(cache_dir).entries == cache.entries
+
+
+@pytest.mark.parametrize("tau", [5, 10, 20])
+def test_tau_one_cache_derives_short_features_exactly(small_corpus, tmp_path, tau):
+    root, records = small_corpus
+    full = extract_and_cache(records, root, tiny_cfg(), tau=1, cache_dir=tmp_path / "c1")
+    direct = extract_and_cache(records, root, tiny_cfg(), tau=tau, cache_dir=tmp_path / "c")
+    derived_lookup, direct_lookup = FeatureLookup(full, tau), FeatureLookup(direct)
+    for record in records:
+        derived = derived_lookup.short(record.utt_id)
+        assert derived.dtype == np.float32
+        assert derived.tobytes() == direct_lookup.short(record.utt_id).tobytes()
+    assert full.load_short(records[0].utt_id, tau).tau == tau
+
+
+def test_cache_serves_only_its_own_tau_unless_tau_one(small_corpus, tmp_path):
+    root, records = small_corpus
+    cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
+    utt = records[0].utt_id
+    assert cache.load_short(utt, 10).values.tobytes() == cache.load_short(utt).values.tobytes()
+    with pytest.raises(IncompatibilityError):
+        cache.load_short(utt, 5)
+    with pytest.raises(IncompatibilityError):
+        FeatureLookup(cache, 5).short(utt)
+
+
+def test_cache_unknown_utt_is_feature_load_error(small_corpus, tmp_path):
+    root, records = small_corpus
+    cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
+    with pytest.raises(FeatureLoadError):
+        cache.load_short("nope")
+    with pytest.raises(FeatureLoadError):
+        cache.load_embedding("nope")
+
+
+def test_cache_load_malformed_is_format_error(small_corpus, tmp_path):
+    root, records = small_corpus
+    cache_dir = tmp_path / "c"
+    extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=cache_dir)
+    meta_path, index_path = cache_dir / "meta.txt", cache_dir / "index.tsv"
+    meta, index = meta_path.read_text(), index_path.read_text()
+
+    for key in ("tau=10\n", "fingerprint="):
+        meta_path.write_text("".join(l for l in meta.splitlines(True) if not l.startswith(key)))
+        with pytest.raises(FormatError):
+            CacheIndex.load(cache_dir)
+    meta_path.write_text(meta + "garbage\n")
+    with pytest.raises(FormatError):
+        CacheIndex.load(cache_dir)
+    meta_path.write_text(meta)
+    index_path.write_text(index + "lonely\n")
+    with pytest.raises(FormatError):
+        CacheIndex.load(cache_dir)
+    index_path.unlink()
+    with pytest.raises(FormatError):
+        CacheIndex.load(cache_dir)
 
 
 def test_embedding_matches_long_feature_mean(small_corpus, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radspoof.errors import ManifestParseError, MetricUndefinedError
+from radspoof.errors import InvalidInputError, ManifestParseError, MetricUndefinedError
 from radspoof.metrics import (
     ScoreRecord,
     det_points,
@@ -98,6 +98,16 @@ def test_single_class_undefined():
         pooled_eer([ScoreRecord("a", 0.5, "bonafide")])
     with pytest.raises(MetricUndefinedError):
         pooled_eer(recs([0.5], []))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_score_rejected(bad):
+    # a NaN bonafide score used to drop out of every comparison and give EER 0
+    records = [ScoreRecord("b0", bad, "bonafide")] + recs([0.3], [0.1])
+    with pytest.raises(InvalidInputError):
+        det_points(records)
+    with pytest.raises(InvalidInputError):
+        pooled_eer(records)
 
 
 def test_det_points_monotone():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radspoof import nn
-from radspoof.errors import FormatError, InvalidInputError
+from radspoof.errors import CheckpointNotFoundError, FormatError, InvalidInputError
 
 
 # --- primitive forwards ---------------------------------------------------------
@@ -285,6 +285,21 @@ def test_checkpoint_corruption_detected(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"WRONG 9\nend\n")
+    with pytest.raises(FormatError):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_missing_file_is_not_found(tmp_path):
+    with pytest.raises(CheckpointNotFoundError) as err:
+        nn.load_checkpoint(tmp_path / "nope.ckpt")
+    assert isinstance(err.value, FileNotFoundError)
+
+
+@pytest.mark.parametrize("bad_line", [b"metakind\n", b"meta kind \xff\n"])
+def test_checkpoint_malformed_header_line_is_format_error(tmp_path, bad_line):
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)}, {"kind": "x"})
+    path.write_bytes(path.read_bytes().replace(b"meta kind x\n", bad_line))
     with pytest.raises(FormatError):
         nn.load_checkpoint(path)
 

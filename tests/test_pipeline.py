@@ -105,3 +105,37 @@ def test_seed_outcome_artifacts(micro_setup, tmp_path):
     assert 0.0 <= outcome.rad_eer <= 1.0
     assert outcome.store.count > 0
     assert outcome.tuned_cfg.kind == "pseudo_trainable"
+
+
+def test_score_at_tau_reuses_seed_cache_and_store(micro_setup, tmp_path, monkeypatch):
+    from radspoof import corpus, encoder, model
+
+    root, records, base_cfg, hyper = micro_setup
+    workdir = tmp_path / "sweep"
+    outcome = run_seed_experiment(workdir, records, root / "corpus", base_cfg, hyper, seed=0)
+    assert outcome.cache.tau == 1
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    # patch every binding, including the names modules imported from each other
+    for module in (corpus, encoder, vecstore, model, pipeline):
+        for name in ("extract_and_cache", "build_stores", "load_segment", "encode_long"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for tau in (5, 10, 20):
+        eer = pipeline.score_at_tau(workdir, records, root / "corpus", outcome, tau)
+        assert 0.0 <= eer <= 1.0
+        assert (workdir / "scores" / f"radmfa_seed0_tau{tau}.tsv").exists()
+    assert calls == []
+    assert sorted(p.name for p in workdir.glob("cache_seed*")) == ["cache_seed0"]
+    # the trained tau scores exactly as the seed experiment did
+    assert (workdir / "scores" / "radmfa_seed0_tau10.tsv").read_bytes() == (
+        outcome.eval_scores_path.read_bytes()
+    )
