@@ -22,7 +22,10 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ConfigurationError, InvalidInputError, ManifestParseError, ValidationError
+from .errors import (
+    AudioNotFoundError, ConfigurationError, FormatError, InvalidInputError, ManifestParseError,
+    ValidationError,
+)
 
 SAMPLE_RATE = 16000
 SEGMENT_SAMPLES = 64000  # 4.0 s at 16 kHz
@@ -296,7 +299,12 @@ def write_wav(path, samples: np.ndarray) -> None:
 
 
 def read_wav(path) -> np.ndarray:
-    rate, samples = wavfile.read(str(path))
+    try:
+        rate, samples = wavfile.read(str(path))
+    except FileNotFoundError:
+        raise AudioNotFoundError(f"no audio file at {path}") from None
+    except Exception as exc:  # scipy reports bad bytes as ValueError, TypeError, struct.error...
+        raise FormatError(f"{path}: unreadable WAV file ({exc})") from None
     if rate != SAMPLE_RATE:
         raise InvalidInputError(f"{path}: sample rate {rate}, expected {SAMPLE_RATE}")
     if samples.dtype == np.int16:
@@ -369,6 +377,7 @@ def load_segment(manifest_dir, record: ManifestRecord) -> AudioSegment:
         audio_path = Path(manifest_dir) / audio_path
     samples = read_wav(audio_path)
     clip = AudioClip(record.utt_id, record.speaker_id, record.label, record.spoof_method, samples)
+    clip.validate()
     return segment_clip(clip)
 
 

@@ -314,7 +314,7 @@ def _validate_cached(path: Path, kind: int) -> bool:
     if not path.exists():
         return False
     try:
-        found_kind, _ = radf.validate_feature(path)
+        found_kind, _ = radf.read_feature(path)
     except Exception as exc:
         raise CacheCorruptionError(f"corrupt cache file {path}: {exc}") from exc
     if found_kind != kind:

@@ -27,7 +27,7 @@ class ValidationError(RadspoofError):
 
 
 class FormatError(RadspoofError):
-    """A binary file has a bad magic, version, shape, or checksum."""
+    """A file has a bad magic, version, shape, checksum or field."""
 
 
 class FeatureLoadError(RadspoofError):
@@ -48,6 +48,10 @@ class StoreNotFoundError(RadspoofError, FileNotFoundError):
 
 class CheckpointNotFoundError(RadspoofError, FileNotFoundError):
     """No checkpoint file exists at the given path."""
+
+
+class AudioNotFoundError(RadspoofError, FileNotFoundError):
+    """No audio file exists at the given path."""
 
 
 class QueryError(RadspoofError):

@@ -29,7 +29,7 @@ import numpy as np
 from . import nn
 from .corpus import LABEL_BONAFIDE, ManifestRecord, load_segment
 from .encoder import CacheIndex, EncoderConfig, encoder_fingerprint, layer_mixer, mel_frames
-from .errors import ConfigurationError, IncompatibilityError, InvalidInputError
+from .errors import ConfigurationError, FormatError, IncompatibilityError, InvalidInputError
 from .metrics import ScoreRecord, pooled_eer
 from .vecstore import QueryResult, StoreSet
 
@@ -361,11 +361,6 @@ class _BaselineRunner:
         mels = np.stack([self._mel(r) for r in batch_records])
         return baseline_forward(mels, self.params, self.encoder_cfg, self.hyper.tau)
 
-    def tuned_encoder(self) -> EncoderConfig:
-        scales = np.stack([t.data for t in self.params.scales])
-        shifts = np.stack([t.data for t in self.params.shifts])
-        return self.encoder_cfg.with_tuning(scales, shifts)
-
 
 class _RadRunner:
     def __init__(self, store, cache, hyper, just_difference):
@@ -381,22 +376,18 @@ class _RadRunner:
             cache.n_layers, cache.feat_dim, rng, just_difference=just_difference
         )
         self.param_set = nn.ParamSet(self.params.tensors())
-        self._queries: dict[str, np.ndarray] = {}
         self._refs: dict[str, np.ndarray] = {}
 
-    def _materialize(self, record) -> None:
-        if record.utt_id in self._queries:
-            return
-        self._queries[record.utt_id] = self.lookup.short(record.utt_id)
-        self._refs[record.utt_id] = retrieve_references(
-            record.utt_id, self.store, self.lookup, self.hyper.k_refs
-        )
+    def _references(self, utt_id: str) -> np.ndarray:
+        if utt_id not in self._refs:
+            self._refs[utt_id] = retrieve_references(
+                utt_id, self.store, self.lookup, self.hyper.k_refs
+            )
+        return self._refs[utt_id]
 
     def logits(self, batch_records) -> nn.Tensor:
-        for record in batch_records:
-            self._materialize(record)
-        queries = np.stack([self._queries[r.utt_id] for r in batch_records]).astype(np.float64)
-        refs = np.stack([self._refs[r.utt_id] for r in batch_records]).astype(np.float64)
+        queries = np.stack([self.lookup.short(r.utt_id) for r in batch_records]).astype(np.float64)
+        refs = np.stack([self._references(r.utt_id) for r in batch_records]).astype(np.float64)
         return radmfa_forward(queries, refs, self.params)
 
 
@@ -487,30 +478,33 @@ def train_model(
 
 # --- scoring -------------------------------------------------------------------
 
+# the checkpoint meta keys scoring reads, with their types
+_CHECKPOINT_META = dict(
+    kind=str, fingerprint=str, n_layers=int, feat_dim=int, tau=int, k_refs=int, encoder_seed=int
+)
+
+
+def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Checkpoint tensors and typed meta; FormatError for a missing or bad key."""
+    arrays, meta = nn.load_checkpoint(path)
+    try:
+        return arrays, {key: parse(meta[key]) for key, parse in _CHECKPOINT_META.items()}
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint meta ({exc})") from None
+
 
 def tuned_encoder_from_checkpoint(checkpoint_path, base_cfg: EncoderConfig) -> EncoderConfig:
     """Reconstruct the tuned encoder the baseline checkpoint trained."""
-    arrays, meta = nn.load_checkpoint(checkpoint_path)
+    arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != "baseline":
         raise IncompatibilityError("only baseline checkpoints carry encoder tuning")
-    n_layers = int(meta["n_layers"])
-    scales = np.stack([arrays[f"encoder.scale.{l}"] for l in range(n_layers)])
-    shifts = np.stack([arrays[f"encoder.shift.{l}"] for l in range(n_layers)])
-    return base_cfg.with_tuning(scales, shifts)
+    params = _rebuild_baseline(arrays, meta["n_layers"], meta["feat_dim"])
+    return base_cfg.with_tuning([t.data for t in params.scales], [t.data for t in params.shifts])
 
 
 def _rebuild_baseline(arrays: dict[str, np.ndarray], n_layers: int, feat_dim: int) -> BaselineParams:
     rng = np.random.default_rng(0)
     params = init_baseline(n_layers, feat_dim, rng)
-    nn.ParamSet(params.tensors()).load_arrays(arrays)
-    return params
-
-
-def _rebuild_radmfa(
-    arrays: dict[str, np.ndarray], n_layers: int, feat_dim: int, just_difference: bool
-) -> RadMfaParams:
-    rng = np.random.default_rng(0)
-    params = init_radmfa(n_layers, feat_dim, rng, just_difference=just_difference)
     nn.ParamSet(params.tensors()).load_arrays(arrays)
     return params
 
@@ -530,12 +524,12 @@ def score_dataset(
 ) -> list[ScoreRecord]:
     """Score records with a trained checkpoint; deterministic. `k_refs` and
     `tau` default to the checkpoint's."""
-    arrays, meta = nn.load_checkpoint(checkpoint_path)
+    arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != kind:
         raise IncompatibilityError(f"checkpoint is kind {meta['kind']}, requested {kind}")
-    n_layers, feat_dim = int(meta["n_layers"]), int(meta["feat_dim"])
-    tau = tau if tau is not None else int(meta["tau"])
-    k = k_refs if k_refs is not None else int(meta["k_refs"])
+    n_layers, feat_dim = meta["n_layers"], meta["feat_dim"]
+    tau = tau if tau is not None else meta["tau"]
+    k = k_refs if k_refs is not None else meta["k_refs"]
 
     if kind == "baseline":
         if encoder_cfg is None:
@@ -543,10 +537,10 @@ def score_dataset(
                 kind="pseudo_trainable",
                 n_layers=n_layers,
                 feat_dim=feat_dim,
-                seed=int(meta["encoder_seed"]),
+                seed=meta["encoder_seed"],
             )
         elif (
-            int(meta["encoder_seed"]) != encoder_cfg.seed
+            meta["encoder_seed"] != encoder_cfg.seed
             or n_layers != encoder_cfg.n_layers
             or feat_dim != encoder_cfg.feat_dim
         ):
@@ -568,7 +562,8 @@ def score_dataset(
         raise IncompatibilityError(
             "checkpoint was trained on features from a different encoder"
         )
-    params = _rebuild_radmfa(arrays, n_layers, feat_dim, kind == "just_difference")
+    params = init_radmfa(n_layers, feat_dim, np.random.default_rng(0), kind == "just_difference")
+    nn.ParamSet(params.tensors()).load_arrays(arrays)
     lookup = FeatureLookup(cache, tau)
     all_logits = []
     for start in range(0, len(records), batch_size):

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import radf
 from .errors import CheckpointNotFoundError, FormatError, GradCheckError, InvalidInputError
-from .radf import pack_payload, unpack_payload
 
 ASP_EPS = 1e-6
 
@@ -365,6 +365,8 @@ class ParamSet:
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, tensor in self.tensors.items():
+            if name not in arrays:
+                raise FormatError(f"no tensor {name!r} among the arrays to load")
             value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != tensor.data.shape:
                 raise InvalidInputError(f"{name}: shape {value.shape} != {tensor.data.shape}")
@@ -436,68 +438,18 @@ def grad_check(fn, inputs, step: float = 1e-5, seed: int = 0, max_coords: int | 
     return worst
 
 
-# --- checkpoint container: text header of names/shapes + f32 payloads ------
-
-_CKPT_MAGIC = "RADP 1"
+# --- checkpoint container: a RADP bundle (see radf) ---------------------------
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-    """Write float32 payloads under a text header of one field per line."""
-    texts = [*meta, *meta.values(), *tensors]
-    if any("\n" in text for text in texts) or any(" " in key for key in meta):
-        raise InvalidInputError("checkpoint names and meta must be single-line, meta keys unspaced")
-    names = sorted(tensors)
-    lines = [_CKPT_MAGIC]
-    for key in sorted(meta):
-        lines.append(f"meta {key} {meta[key]}")
-    for name in names:
-        dims = ",".join(str(d) for d in np.asarray(tensors[name]).shape)
-        lines.append(f"tensor {name} {dims or 'scalar'}")
-    lines.append("end")
-    header = ("\n".join(lines) + "\n").encode("utf-8")
-    body = b"".join(pack_payload(tensors[name]) for name in names)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(header + body)
+    """radf.write_tensors, creating the parent directory first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    radf.write_tensors(path, tensors, meta)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """radf.read_tensors, with CheckpointNotFoundError for a missing file."""
     try:
-        blob = Path(path).read_bytes()
+        return radf.read_tensors(path)
     except FileNotFoundError:
         raise CheckpointNotFoundError(f"no checkpoint at {path}") from None
-    # every header line starts with "meta " or "tensor ", so the first whole
-    # "end" line is the terminator wherever "end" appears inside a value
-    try:
-        header_end = blob.index(b"\nend\n") + 5
-        header_lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
-    except ValueError:
-        raise FormatError(f"{path}: missing header terminator or non-UTF-8 header") from None
-    if not header_lines or header_lines[0] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    meta: dict[str, str] = {}
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in header_lines[1:-1]:
-        try:
-            kind, rest = line.split(" ", 1)
-            if kind == "meta":
-                key, value = rest.split(" ", 1)
-                meta[key] = value
-            elif kind == "tensor":
-                name, dims = rest.rsplit(" ", 1)
-                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-                shapes.append((name, shape))
-            else:
-                raise FormatError(f"{path}: unknown header line {line!r}")
-        except ValueError:
-            raise FormatError(f"{path}: malformed header line {line!r}") from None
-    tensors: dict[str, np.ndarray] = {}
-    offset = header_end
-    for name, shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
-        chunk = blob[offset : offset + count * 4 + 4]
-        tensors[name] = unpack_payload(chunk, count, context=f"{path}:{name}").reshape(shape)
-        offset += count * 4 + 4
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes after payloads")
-    return tensors, meta

@@ -1,6 +1,8 @@
-"""RADF binary tensor file format.
+"""Binary tensor files: per-clip RADF features and RADP named-tensor bundles.
 
-Layout (all integers little-endian):
+A tensor is stored as its little-endian float32 values in C order followed
+by the u32 CRC32 of those bytes. RADF holds one clip's feature under a fixed
+binary header, which keeps the per-clip read of retrieval ingest cheap:
 
     magic   4 bytes  b"RADF"
     version u16      1
@@ -8,22 +10,24 @@ Layout (all integers little-endian):
     L       u32      number of layers
     T       u32      number of frames (1 for embeddings)
     F       u32      feature dimension
-    payload L*T*F float32, layer-major (l, t, f) order
-    crc32   u32      checksum of the payload bytes
+    payload L*T*F float32, layer-major (l, t, f) order, then its CRC32
 
-The float32-payload-plus-trailing-CRC32 convention is reused by the vector
-store files and the checkpoint container.
+RADP holds named tensors plus string metadata (checkpoints, vector stores):
+a UTF-8 header of "RADP 1", one "meta <key> <value>" line per key (sorted),
+one "tensor <name> <d0,d1,...>" line per tensor (sorted; "scalar" for 0-d)
+and "end", then the payloads in header order.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError
 
 MAGIC = b"RADF"
 VERSION = 1
@@ -32,24 +36,27 @@ KIND_LONG = 1
 KIND_SHORT = 2
 KIND_EMBEDDING = 3
 
+BUNDLE_MAGIC = "RADP 1"
+
 _HEADER = struct.Struct("<4sHBIII")
+_CRC = struct.Struct("<I")
 
 
-def pack_payload(values: np.ndarray) -> bytes:
-    """Serialize an array as little-endian float32 bytes plus trailing CRC32."""
-    raw = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    return raw + struct.pack("<I", zlib.crc32(raw))
+def _write_payload(file, values) -> None:
+    raw = np.ascontiguousarray(values, dtype="<f4")
+    file.write(raw)
+    file.write(_CRC.pack(zlib.crc32(raw)))
 
 
-def unpack_payload(blob: bytes, count: int, context: str = "payload") -> np.ndarray:
-    """Inverse of pack_payload; validates length and checksum."""
-    need = count * 4 + 4
-    if len(blob) != need:
-        raise FormatError(f"{context}: expected {need} bytes, got {len(blob)}")
-    raw, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(raw) != crc:
+def _read_payload(buf, offset: int, shape, context) -> tuple[np.ndarray, int]:
+    """The checksummed payload of `shape` at `offset`, and the offset after it."""
+    end = offset + 4 * math.prod(shape)
+    if end + _CRC.size > len(buf):
+        raise FormatError(f"{context}: truncated payload")
+    raw = buf[offset:end]
+    if zlib.crc32(raw) != _CRC.unpack_from(buf, end)[0]:
         raise FormatError(f"{context}: checksum mismatch")
-    return np.frombuffer(raw, dtype="<f4").copy()
+    return np.frombuffer(raw, dtype="<f4").copy().reshape(shape), end + _CRC.size
 
 
 def write_feature(path, values: np.ndarray, kind: int) -> None:
@@ -65,9 +72,9 @@ def write_feature(path, values: np.ndarray, kind: int) -> None:
         values = values[:, None, :]
     elif values.ndim != 3:
         raise FormatError(f"feature must be 3-D, got shape {values.shape}")
-    n_layers, n_frames, dim = values.shape
-    header = _HEADER.pack(MAGIC, VERSION, kind, n_layers, n_frames, dim)
-    Path(path).write_bytes(header + pack_payload(values))
+    with open(path, "wb") as file:
+        file.write(_HEADER.pack(MAGIC, VERSION, kind, *values.shape))
+        _write_payload(file, values)
 
 
 def read_feature(path) -> tuple[int, np.ndarray]:
@@ -75,21 +82,21 @@ def read_feature(path) -> tuple[int, np.ndarray]:
 
     Values are float32, shaped (L, T, F) for long/short kinds and (L, F)
     for embeddings. Raises FormatError on bad magic, version, kind, shape,
-    or checksum.
+    length or checksum.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
+    buf = Path(path).read_bytes()
+    if len(buf) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, kind, n_layers, n_frames, dim = _HEADER.unpack_from(blob)
+    magic, version, kind, n_layers, n_frames, dim = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if kind not in (KIND_LONG, KIND_SHORT, KIND_EMBEDDING):
         raise FormatError(f"{path}: unknown kind {kind}")
-    count = n_layers * n_frames * dim
-    values = unpack_payload(blob[_HEADER.size:], count, context=str(path))
-    values = values.reshape(n_layers, n_frames, dim)
+    values, end = _read_payload(buf, _HEADER.size, (n_layers, n_frames, dim), path)
+    if end != len(buf):
+        raise FormatError(f"{path}: trailing bytes after the payload")
     if kind == KIND_EMBEDDING:
         if n_frames != 1:
             raise FormatError(f"{path}: embedding with T={n_frames}")
@@ -97,7 +104,58 @@ def read_feature(path) -> tuple[int, np.ndarray]:
     return kind, values
 
 
-def validate_feature(path) -> tuple[int, tuple[int, ...]]:
-    """Check a RADF file without keeping the payload; returns (kind, shape)."""
-    kind, values = read_feature(path)
-    return kind, values.shape
+def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> None:
+    """Write named tensors as float32 payloads under a RADP text header."""
+    texts = [*meta, *meta.values(), *tensors]
+    if any("\n" in text for text in texts) or any(" " in key for key in meta):
+        raise InvalidInputError("tensor names and meta must be single-line, meta keys unspaced")
+    names = sorted(tensors)
+    lines = [BUNDLE_MAGIC, *(f"meta {key} {meta[key]}" for key in sorted(meta))]
+    for name in names:
+        dims = ",".join(str(d) for d in np.shape(tensors[name]))
+        lines.append(f"tensor {name} {dims or 'scalar'}")
+    lines.append("end")
+    with open(path, "wb") as file:
+        file.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for name in names:
+            _write_payload(file, tensors[name])
+
+
+def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a RADP file; returns (tensors, meta).
+
+    Raises FormatError on a bad magic, a malformed header line, a truncated
+    or corrupt payload, or trailing bytes.
+    """
+    blob = Path(path).read_bytes()
+    # every header line starts with "meta " or "tensor ", so the first whole
+    # "end" line is the terminator wherever "end" appears inside a value
+    try:
+        header_end = blob.index(b"\nend\n") + 5
+        lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
+    except ValueError:
+        raise FormatError(f"{path}: missing header terminator or non-UTF-8 header") from None
+    if lines[0] != BUNDLE_MAGIC:
+        raise FormatError(f"{path}: bad RADP magic")
+    meta: dict[str, str] = {}
+    tensors: dict[str, np.ndarray] = {}
+    buf, offset = memoryview(blob), header_end  # slices of it copy nothing
+    for line in lines[1:-1]:
+        try:
+            kind, rest = line.split(" ", 1)
+            if kind == "meta":
+                key, value = rest.split(" ", 1)
+                meta[key] = value
+                continue
+            if kind != "tensor":
+                raise FormatError(f"{path}: unknown header line {line!r}")
+            name, dims = rest.rsplit(" ", 1)
+            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+            if any(d < 0 for d in shape):
+                raise ValueError(dims)
+        except ValueError:
+            raise FormatError(f"{path}: malformed header line {line!r}") from None
+        tensors[name], offset = _read_payload(buf, offset, shape, f"{path}:{name}")
+    if offset != len(buf):
+        raise FormatError(f"{path}: trailing bytes after payloads")
+    return tensors, meta

@@ -4,11 +4,16 @@ One flat store per encoder layer, all sharing the same record list in
 insertion order. Search is an exact cosine scan: similarities are ranked
 descending with ties broken by ascending insertion index, so results are
 total-ordered and reproducible. Zero-norm vectors are never retrieved.
+
+A persisted store is a directory holding ``records.tsv`` (``index utt_id
+speaker_id`` per line, in insertion order) and ``vectors.radp``, one RADP
+bundle (see ``radf``) with an (N, F) tensor ``layer00``, ``layer01``, ...
+per layer and meta ``fingerprint``, ``tau``, ``n_layers`` and ``feat_dim``.
+The bundle is written last, so a directory without it holds no store.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +24,11 @@ from .encoder import CacheIndex
 from .errors import (
     FormatError, IncompatibilityError, QueryError, StoreBuildError, StoreNotFoundError
 )
-from .radf import pack_payload, unpack_payload
+from .radf import read_tensors, write_tensors
 
 DEFAULT_DB_SPLITS = frozenset({"train", "dev", "retrieval_extra"})
 
-_LAYER_MAGIC = b"RADV"
-_LAYER_HEADER = struct.Struct("<4sHII")
+BUNDLE_NAME = "vectors.radp"
 
 
 @dataclass
@@ -34,7 +38,6 @@ class RetrievalHit:
     similarity: float
     segment_ref: str
     speaker_id: str
-    short_feature_path: str
 
 
 @dataclass
@@ -58,7 +61,6 @@ class StoreSet:
     fingerprint: str
     utt_ids: list[str]
     speaker_ids: list[str]
-    short_paths: list[str]
     vectors: list[np.ndarray]  # per layer, (N, F) float32
     _norms: list[np.ndarray] = field(default_factory=list, repr=False)
 
@@ -113,7 +115,6 @@ class StoreSet:
                             similarity=float(sims[pos]),
                             segment_ref=self.utt_ids[idx],
                             speaker_id=self.speaker_ids[idx],
-                            short_feature_path=self.short_paths[idx],
                         )
                     )
             if len(hits) < k:
@@ -138,7 +139,6 @@ def build_stores(
     report = BuildReport()
     utt_ids: list[str] = []
     speaker_ids: list[str] = []
-    short_paths: list[str] = []
     rows: list[np.ndarray] = []
     for record in records:
         if record.split not in splits:
@@ -153,7 +153,6 @@ def build_stores(
         rows.append(embedding.values.astype(np.float32))
         utt_ids.append(record.utt_id)
         speaker_ids.append(record.speaker_id)
-        short_paths.append(str(cache.short_path(record.utt_id)))
         report.n_inserted += 1
 
     if rows:
@@ -170,7 +169,6 @@ def build_stores(
         fingerprint=cache.fingerprint,
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
-        short_paths=short_paths,
         vectors=vectors,
     )
     return store, report
@@ -191,64 +189,45 @@ def speaker_consistency(result: QueryResult, query_speaker: str) -> list[float |
 def persist_stores(store: StoreSet, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = (
-        f"n_layers={store.n_layers}\nfeat_dim={store.feat_dim}\ntau={store.tau}\n"
-        f"fingerprint={store.fingerprint}\ncount={store.count}\n"
-    )
-    (directory / "meta.txt").write_text(meta, encoding="utf-8")
-    lines = [
-        f"{i}\t{u}\t{s}\t{p}"
-        for i, (u, s, p) in enumerate(zip(store.utt_ids, store.speaker_ids, store.short_paths))
-    ]
+    rows = enumerate(zip(store.utt_ids, store.speaker_ids))
     (directory / "records.tsv").write_text(
-        ("\n".join(lines) + "\n") if lines else "", encoding="utf-8"
+        "".join(f"{i}\t{u}\t{s}\n" for i, (u, s) in rows), encoding="utf-8"
     )
-    for layer, vectors in enumerate(store.vectors):
-        header = _LAYER_HEADER.pack(_LAYER_MAGIC, 1, vectors.shape[0], vectors.shape[1])
-        (directory / f"layer{layer:02d}.vec").write_bytes(header + pack_payload(vectors))
-
-
-def _read_layer_file(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
-    if len(blob) < _LAYER_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, n, dim = _LAYER_HEADER.unpack_from(blob)
-    if magic != _LAYER_MAGIC or version != 1:
-        raise FormatError(f"{path}: bad magic or version")
-    return unpack_payload(blob[_LAYER_HEADER.size:], n * dim, context=str(path)).reshape(n, dim)
+    meta = {key: str(getattr(store, key)) for key in ("fingerprint", "tau", "n_layers", "feat_dim")}
+    layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(store.vectors)}
+    write_tensors(directory / BUNDLE_NAME, layers, meta)
 
 
 def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
     """Load a persisted StoreSet; optionally enforce the encoder fingerprint."""
     directory = Path(directory)
-    meta_path = directory / "meta.txt"
-    if not meta_path.exists():
-        raise StoreNotFoundError(f"no store at {directory}")
     try:
-        meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines() if line)
+        layers, meta = read_tensors(directory / BUNDLE_NAME)
+    except FileNotFoundError:
+        raise StoreNotFoundError(f"no store at {directory}") from None
+    try:
         n_layers, feat_dim, tau = (int(meta[key]) for key in ("n_layers", "feat_dim", "tau"))
         fingerprint = meta["fingerprint"]
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: malformed store metadata ({exc})") from None
+        raise FormatError(f"{directory / BUNDLE_NAME}: malformed store metadata ({exc})") from None
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise IncompatibilityError(
             f"store fingerprint {fingerprint} != expected {expected_fingerprint}"
         )
+    utt_ids, speaker_ids = [], []
     try:
-        records_text = (directory / "records.tsv").read_text(encoding="utf-8")
-        vectors = [_read_layer_file(directory / f"layer{l:02d}.vec") for l in range(n_layers)]
-    except FileNotFoundError as exc:
-        raise FormatError(f"{directory}: incomplete store, no {exc.filename}") from None
-    utt_ids, speaker_ids, short_paths = [], [], []
-    for line in records_text.splitlines():
-        if line:
-            _, utt, speaker, path = line.split("\t")
+        for line in (directory / "records.tsv").read_text(encoding="utf-8").splitlines():
+            _, utt, speaker = line.split("\t")
             utt_ids.append(utt)
             speaker_ids.append(speaker)
-            short_paths.append(path)
-    for v in vectors:
-        if v.shape[0] != len(utt_ids):
-            raise FormatError(f"{directory}: layer count {v.shape[0]} != records {len(utt_ids)}")
+    except FileNotFoundError:
+        raise FormatError(f"{directory}: incomplete store, no records.tsv") from None
+    except ValueError:
+        raise FormatError(f"{directory}: records.tsv lines need 3 tab-separated fields") from None
+    names = [f"layer{l:02d}" for l in range(n_layers)]
+    shape = (len(utt_ids), feat_dim)
+    if sorted(layers) != names or any(layers[n].shape != shape for n in names):
+        raise FormatError(f"{directory}: expected {n_layers} layers of shape {shape}")
     return StoreSet(
         n_layers=n_layers,
         feat_dim=feat_dim,
@@ -256,6 +235,5 @@ def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
         fingerprint=fingerprint,
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
-        short_paths=short_paths,
-        vectors=vectors,
+        vectors=[layers[n] for n in names],
     )

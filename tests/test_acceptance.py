@@ -83,7 +83,6 @@ def test_criterion_2_retrieval_exactness():
         fingerprint="synthetic",
         utt_ids=[f"u{i}" for i in range(n)],
         speaker_ids=[f"spk{i % 20}" for i in range(n)],
-        short_paths=[f"{i}.radf" for i in range(n)],
         vectors=vectors,
     )
     queries = [rng.standard_normal((layers, dim)) for _ in range(100)]

@@ -1,8 +1,12 @@
 import shutil
 
+import numpy as np
 import pytest
 
+from radspoof import model, nn, radf
 from radspoof.cli import main
+from radspoof.corpus import ManifestRecord, write_manifest, write_wav
+from radspoof.encoder import CacheIndex
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +45,7 @@ def test_synth_writes_manifest_and_hash(workspace):
 def test_extract_and_builddb_artifacts(workspace):
     root, _, cache_dir, store_dir = workspace
     assert (cache_dir / "index.tsv").exists()
-    assert (store_dir / "layer00.vec").exists()
+    assert (store_dir / "vectors.radp").exists()
     assert (store_dir / "records.tsv").exists()
 
 
@@ -155,10 +159,9 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
     root, manifest, cache_dir, store_dir = workspace
     broken = tmp_path / "store"
     shutil.copytree(store_dir, broken)
-    meta = broken / "meta.txt"
-    meta.write_text("".join(
-        l for l in meta.read_text().splitlines(keepends=True) if not l.startswith("n_layers=")
-    ))
+    tensors, meta = radf.read_tensors(broken / "vectors.radp")
+    del meta["n_layers"]
+    radf.write_tensors(broken / "vectors.radp", tensors, meta)
     code = main([
         "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
         "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
@@ -187,6 +190,64 @@ def test_eval_malformed_checkpoint_fails_with_error_line(workspace, tmp_path, ca
         "eval", "--kind", "radmfa", "--checkpoint", str(checkpoint),
         "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
         "--cache", str(cache_dir), "--store", str(store_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _radmfa_checkpoint_tensors(cache_dir):
+    """Untrained radmfa tensors and full meta matching the workspace cache."""
+    params = model.init_radmfa(3, 16, np.random.default_rng(0))
+    meta = {
+        "kind": "radmfa", "n_layers": "3", "feat_dim": "16", "tau": "10", "k_refs": "3",
+        "seed": "0", "best_epoch": "1", "encoder_seed": "0",
+        "fingerprint": CacheIndex.load(cache_dir).fingerprint,
+    }
+    return {name: t.data for name, t in params.tensors().items()}, meta
+
+
+@pytest.mark.parametrize("break_checkpoint", [
+    lambda tensors, meta: (tensors, {"kind": "radmfa"}),
+    lambda tensors, meta: ({n: t for n, t in tensors.items() if n != "head_w"}, meta),
+], ids=["meta_kind_only", "no_head_w"])
+def test_eval_incomplete_checkpoint_fails_with_error_line(
+    workspace, tmp_path, capsys, break_checkpoint
+):
+    root, manifest, cache_dir, store_dir = workspace
+    tensors, meta = _radmfa_checkpoint_tensors(cache_dir)
+    checkpoint = tmp_path / "rad.ckpt"
+    args = [
+        "eval", "--kind", "radmfa", "--checkpoint", str(checkpoint),
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(store_dir),
+    ]
+    nn.save_checkpoint(checkpoint, tensors, meta)
+    assert main(args) == 0  # the intact checkpoint scores
+    nn.save_checkpoint(checkpoint, *break_checkpoint(tensors, meta))
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "wav", [None, b"not a wav file", np.nan, np.inf, 1.5],
+    ids=["missing", "unparseable", "nan", "inf", "out_of_range"],
+)
+def test_extract_bad_wav_fails_with_error_line(tmp_path, capsys, wav):
+    manifest = tmp_path / "manifest.tsv"
+    record = ManifestRecord("u0", "spk0", "bonafide", None, "wav/u0.wav", "train")
+    write_manifest(manifest, [record])
+    wav_path = tmp_path / "wav" / "u0.wav"
+    if isinstance(wav, bytes):
+        wav_path.parent.mkdir()
+        wav_path.write_bytes(wav)
+    elif wav is not None:
+        samples = np.zeros(16000, dtype=np.float32)
+        samples[100] = wav
+        write_wav(wav_path, samples)
+    code = main([
+        "extract", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+        "--tau", "10", "--layers", "3", "--dim", "16",
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -12,7 +12,9 @@ from radspoof.corpus import (
     write_manifest,
 )
 from radspoof.errors import (
+    AudioNotFoundError,
     ConfigurationError,
+    FormatError,
     InvalidInputError,
     ManifestParseError,
     ValidationError,
@@ -227,3 +229,27 @@ def test_write_corpus_and_load_segment(tmp_path):
     seg = corpus.load_segment(tmp_path, records[0])
     assert len(seg.samples) == 64000
     seg.validate()
+
+
+def test_read_wav_missing_file_is_audio_not_found(tmp_path):
+    with pytest.raises(AudioNotFoundError) as err:
+        corpus.read_wav(tmp_path / "nope.wav")
+    assert isinstance(err.value, FileNotFoundError)
+
+
+@pytest.mark.parametrize("blob", [b"", b"not a wav file", b"RIFF\x10\x00\x00\x00WAVEfmt "])
+def test_read_wav_unparseable_file_is_format_error(tmp_path, blob):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        corpus.read_wav(path)
+
+
+@pytest.mark.parametrize("bad_sample", [np.nan, np.inf, -np.inf, 1.5])
+def test_load_segment_rejects_invalid_samples(tmp_path, bad_sample):
+    samples = np.zeros(16000, dtype=np.float32)
+    samples[123] = bad_sample
+    corpus.write_wav(tmp_path / "wav" / "u0.wav", samples)
+    record = ManifestRecord("u0", "spk0", "bonafide", None, "wav/u0.wav", "train")
+    with pytest.raises(InvalidInputError):
+        corpus.load_segment(tmp_path, record)

@@ -5,7 +5,7 @@ from radspoof import model, nn, vecstore
 from radspoof.cli import mfa_grad_check, radmfa_grad_check
 from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache, mel_frames
-from radspoof.errors import ConfigurationError, InvalidInputError
+from radspoof.errors import ConfigurationError, FormatError, InvalidInputError
 from radspoof.metrics import pooled_eer
 from radspoof.model import (
     TrainHyper,
@@ -299,6 +299,51 @@ def test_baseline_training_smoke(tiny_setup, tmp_path):
     assert tuned.kind == "pseudo_trainable"
     scales, _ = tuned.scale_arrays()
     assert not np.allclose(scales, 1.0)  # training moved the encoder
+
+
+def _baseline_checkpoint_parts():
+    params = init_baseline(2, 4, np.random.default_rng(0))
+    meta = {
+        "kind": "baseline", "n_layers": "2", "feat_dim": "4", "tau": "10", "k_refs": "3",
+        "encoder_seed": "0", "fingerprint": "f",
+    }
+    return {name: t.data for name, t in params.tensors().items()}, meta
+
+
+def test_score_checkpoint_with_kind_only_meta_is_format_error(tmp_path):
+    nn.save_checkpoint(tmp_path / "rad.ckpt", {}, {"kind": "radmfa"})
+    with pytest.raises(FormatError):
+        score_dataset("radmfa", tmp_path / "rad.ckpt", [], tmp_path)
+
+
+@pytest.mark.parametrize(
+    "drop", ["n_layers", "feat_dim", "encoder_seed", "encoder.scale.1", "head_w", "bad_tau"]
+)
+def test_incomplete_baseline_checkpoint_is_format_error(tmp_path, drop):
+    tensors, meta = _baseline_checkpoint_parts()
+    tensors.pop(drop, None)
+    meta.pop(drop, None)
+    if drop == "bad_tau":
+        meta["tau"] = "ten"
+    path = tmp_path / "base.ckpt"
+    nn.save_checkpoint(path, tensors, meta)
+    encoder_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=2, feat_dim=4, seed=0)
+    with pytest.raises(FormatError):
+        model.tuned_encoder_from_checkpoint(path, encoder_cfg)
+    with pytest.raises(FormatError):
+        score_dataset("baseline", path, [], tmp_path, encoder_cfg=encoder_cfg)
+
+
+def test_complete_baseline_checkpoint_gives_its_tuning(tmp_path):
+    tensors, meta = _baseline_checkpoint_parts()
+    tensors["encoder.scale.1"] = np.full(4, 2.5)
+    nn.save_checkpoint(tmp_path / "base.ckpt", tensors, meta)
+    encoder_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=2, feat_dim=4, seed=0)
+    scales, shifts = model.tuned_encoder_from_checkpoint(
+        tmp_path / "base.ckpt", encoder_cfg
+    ).scale_arrays()
+    assert np.array_equal(scales, [[1.0] * 4, [2.5] * 4])
+    assert np.array_equal(shifts, np.zeros((2, 4)))
 
 
 def test_train_requires_store_for_rad(tiny_setup, tmp_path):

@@ -257,6 +257,12 @@ def test_adam_two_runs_identical():
 # --- checkpoint container ------------------------------------------------------------
 
 
+def test_load_arrays_missing_tensor_is_format_error():
+    ps = nn.ParamSet({"a": nn.parameter(np.ones(2)), "b": nn.parameter(np.zeros(3))})
+    with pytest.raises(FormatError, match="'b'"):
+        ps.load_arrays({"a": np.zeros(2)})
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     tensors = {

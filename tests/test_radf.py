@@ -63,3 +63,30 @@ def test_wrong_version_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         radf.read_feature(path)
+
+
+def test_bundle_roundtrip_scalar_empty_and_3d(tmp_path):
+    rng = np.random.default_rng(3)
+    tensors = {
+        "s": np.float32(2.5),
+        "empty": np.zeros((0, 4), dtype=np.float32),
+        "x": rng.standard_normal((2, 3, 4)).astype(np.float32),
+    }
+    path = tmp_path / "b.radp"
+    radf.write_tensors(path, tensors, {"note": "n"})
+    loaded, meta = radf.read_tensors(path)
+    assert meta == {"note": "n"}
+    assert sorted(loaded) == sorted(tensors)
+    for name, values in tensors.items():
+        assert loaded[name].shape == np.shape(values)
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].tobytes() == np.asarray(values).tobytes()
+        assert loaded[name].flags.writeable and loaded[name].flags.aligned
+
+
+def test_bundle_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "b.radp"
+    radf.write_tensors(path, {"w": np.ones(3, dtype=np.float32)}, {})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError):
+        radf.read_tensors(path)

@@ -5,10 +5,12 @@ import zlib
 import numpy as np
 import pytest
 
-from radspoof import vecstore
+from radspoof import radf, vecstore
 from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache
-from radspoof.errors import FormatError, IncompatibilityError, QueryError, StoreBuildError
+from radspoof.errors import (
+    FormatError, IncompatibilityError, QueryError, StoreBuildError, StoreNotFoundError
+)
 from radspoof.vecstore import StoreSet, build_stores, load_stores, persist_stores, speaker_consistency
 
 
@@ -23,7 +25,6 @@ def make_store(vectors_per_layer, utt_ids=None, speaker_ids=None):
         fingerprint="test",
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
-        short_paths=[f"short/{u}.radf" for u in utt_ids],
         vectors=[np.asarray(v, dtype=np.float32) for v in vectors_per_layer],
     )
 
@@ -255,14 +256,28 @@ def test_persist_twice_gives_identical_directories(cached_corpus, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_layer_file_keeps_radv_framing(tmp_path):
-    vectors = np.arange(6, dtype=np.float32).reshape(3, 2)
-    persist_stores(make_store([vectors]), tmp_path)
-    raw = vectors.astype("<f4").tobytes()
-    expected = (
-        b"RADV" + struct.pack("<HII", 1, 3, 2) + raw + struct.pack("<I", zlib.crc32(raw))
+def test_store_directory_is_records_plus_one_radp_bundle(tmp_path):
+    layer0 = np.arange(6, dtype=np.float32).reshape(3, 2)
+    layer1 = -layer0
+    persist_stores(make_store([layer0, layer1], utt_ids=["a", "b", "c"]), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.tsv", "vectors.radp"]
+    assert (tmp_path / "records.tsv").read_text() == "0\ta\tspk0\n1\tb\tspk1\n2\tc\tspk2\n"
+    header = (
+        "RADP 1\nmeta feat_dim 2\nmeta fingerprint test\nmeta n_layers 2\nmeta tau 10\n"
+        "tensor layer00 3,2\ntensor layer01 3,2\nend\n"
+    ).encode()
+    payloads = b"".join(
+        raw + struct.pack("<I", zlib.crc32(raw))
+        for raw in (layer0.astype("<f4").tobytes(), layer1.astype("<f4").tobytes())
     )
-    assert (tmp_path / "layer00.vec").read_bytes() == expected
+    assert (tmp_path / "vectors.radp").read_bytes() == header + payloads
+
+
+def _rewrite_bundle(directory, edit):
+    """Rewrite a persisted store's bundle through ``edit(tensors, meta)``."""
+    tensors, meta = radf.read_tensors(directory / "vectors.radp")
+    edit(tensors, meta)
+    radf.write_tensors(directory / "vectors.radp", tensors, meta)
 
 
 @pytest.mark.parametrize("drop", ["n_layers", "fingerprint"])
@@ -270,18 +285,54 @@ def test_load_meta_missing_key_is_format_error(cached_corpus, tmp_path, drop):
     records, cache = cached_corpus
     store, _ = build_stores(records, cache)
     persist_stores(store, tmp_path)
-    meta = tmp_path / "meta.txt"
-    lines = meta.read_text().splitlines()
-    meta.write_text("\n".join(l for l in lines if not l.startswith(drop + "=")) + "\n")
+    _rewrite_bundle(tmp_path, lambda tensors, meta: meta.pop(drop))
     with pytest.raises(FormatError):
         load_stores(tmp_path)
 
 
-@pytest.mark.parametrize("victim", ["records.tsv", "layer01.vec"])
+@pytest.mark.parametrize("victim", ["records.tsv"])
 def test_load_incomplete_store_is_format_error(cached_corpus, tmp_path, victim):
     records, cache = cached_corpus
     store, _ = build_stores(records, cache)
     persist_stores(store, tmp_path)
     (tmp_path / victim).unlink()
     with pytest.raises(FormatError, match=victim):
+        load_stores(tmp_path)
+
+
+def test_store_without_bundle_is_not_found(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    (tmp_path / "vectors.radp").unlink()
+    with pytest.raises(StoreNotFoundError):
+        load_stores(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda tensors, meta: tensors.pop("layer01"),
+        lambda tensors, meta: tensors.update(layer01=tensors["layer01"][:-1]),
+        lambda tensors, meta: meta.update(feat_dim="3"),
+        lambda tensors, meta: meta.update(tau="ten"),
+    ],
+    ids=["missing_layer", "short_layer", "wrong_feat_dim", "non_integer_tau"],
+)
+def test_load_bundle_disagreeing_with_records_is_format_error(cached_corpus, tmp_path, edit):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    _rewrite_bundle(tmp_path, edit)
+    with pytest.raises(FormatError):
+        load_stores(tmp_path)
+
+
+def test_load_malformed_records_line_is_format_error(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    path = tmp_path / "records.tsv"
+    path.write_text(path.read_text().replace("\t", " ", 1))
+    with pytest.raises(FormatError, match="records.tsv"):
         load_stores(tmp_path)
