@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics, model, nn, pipeline, vecstore
 from .corpus import CorpusConfig, read_manifest, write_corpus
 from .encoder import CacheIndex, EncoderConfig, extract_and_cache
-from .errors import RadspoofError
+from .errors import ConfigurationError, RadspoofError
 from .model import TrainHyper
 
 _CONFIG_KEYS = {
@@ -40,18 +40,29 @@ _CONFIG_KEYS = {
 
 
 def _read_config_file(path) -> dict:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
     values = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise RadspoofError(f"{path}:{line_no}: expected key=value")
+            raise ConfigurationError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise RadspoofError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _CONFIG_KEYS[key](value)
+            raise ConfigurationError(f"{path}:{line_no}: unknown config key {key!r}")
+        values[key] = _parse_value(_CONFIG_KEYS[key], value, f"{path}:{line_no}: {key}")
     return values
+
+
+def _parse_value(cast, text: str, what: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigurationError(f"{what}: expected {cast.__name__}, got {text!r}") from None
 
 
 def _setting(args, config: dict, key: str, default):
@@ -65,7 +76,7 @@ def _parse_split_counts(text: str) -> dict[str, int]:
     counts = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        counts[name.strip()] = int(value)
+        counts[name.strip()] = _parse_value(int, value, f"--splits {part!r}")
     return counts
 
 
@@ -158,8 +169,8 @@ def _cmd_retrieve(args, config) -> int:
     store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
     k = _setting(args, config, "k", 10)
     if args.utt:
-        lookup = model.FeatureLookup(cache)
-        result = store.query_topk(lookup.embedding(args.utt), k, exclude={args.utt})
+        embedding = cache.load_embedding(args.utt).values
+        result = store.query_topk(embedding, k, exclude={args.utt})
         speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), "?")
         fractions = vecstore.speaker_consistency(result, speaker)
         for layer, hits in enumerate(result.hits):
@@ -312,7 +323,7 @@ def _cmd_ablate(args, config) -> int:
         feat_dim=base.feat_dim,
         seed=base.seed,
     )
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [_parse_value(int, s, "--seeds") for s in args.seeds.split(",")]
     workdir = Path(args.workdir)
     pipeline.write_run_manifest(
         workdir,

@@ -15,6 +15,7 @@ byte-identical sample streams.
 
 from __future__ import annotations
 
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,7 +301,12 @@ def write_wav(path, samples: np.ndarray) -> None:
 
 def read_wav(path) -> np.ndarray:
     try:
-        rate, samples = wavfile.read(str(path))
+        with warnings.catch_warnings():
+            # scipy only warns when the data chunk ends early
+            warnings.filterwarnings(
+                "error", "Reached EOF prematurely", wavfile.WavFileWarning
+            )
+            rate, samples = wavfile.read(str(path))
     except FileNotFoundError:
         raise AudioNotFoundError(f"no audio file at {path}") from None
     except Exception as exc:  # scipy reports bad bytes as ValueError, TypeError, struct.error...

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +244,9 @@ class CacheIndex:
     n_layers: int
     feat_dim: int
     entries: dict[str, tuple[str, str]]  # utt_id -> (short path, embedding path)
+    _tables: dict[int, tuple[dict[str, int], np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def _entry(self, utt_id: str) -> tuple[str, str]:
         try:
@@ -270,6 +273,27 @@ class CacheIndex:
 
     def load_embedding(self, utt_id: str) -> LayerEmbedding:
         return load_feature(self.embedding_path(utt_id))
+
+    def short_table(self, tau: int | None = None) -> tuple[dict[str, int], np.ndarray]:
+        """(rows, table): `table` is one float32 (N, L, T, F) array holding every
+        entry's short feature at `tau` (default: the cache's own), and `rows`
+        maps each utt_id to its row. Read once per cache object and tau."""
+        key = self.tau if tau is None else tau
+        if key not in self._tables:
+            rows = {utt_id: row for row, utt_id in enumerate(self.entries)}
+            table = np.empty((0, self.n_layers, 0, self.feat_dim), dtype=np.float32)
+            for utt_id, row in rows.items():
+                values = self.load_short(utt_id, tau).values
+                if row == 0:  # filled in place: a list of rows would double the peak
+                    table = np.empty((len(rows),) + values.shape, dtype=np.float32)
+                if values.shape != table.shape[1:]:
+                    raise FeatureLoadError(
+                        f"{utt_id!r}: short feature shape {values.shape} differs from "
+                        f"{table.shape[1:]} in the cache at {self.root}"
+                    )
+                table[row] = values
+            self._tables[key] = (rows, table)
+        return self._tables[key]
 
     def save(self) -> None:
         meta = (

@@ -11,6 +11,13 @@ differences over the K axis, and classifies the pooled differences
 concatenated with the query representation. The ``just_difference``
 variant drops the query branch at the head.
 
+References are gathered by row. Retrieval maps each query to a (K, L)
+array of rows in the cache's short-feature table at the run's tau
+(``CacheIndex.short_table``, read once per cache object and tau), and each
+batch takes its queries (B, L, T, F) and references (B, K, L, T, F) from
+that table with one fancy-index apiece. A query given fewer than k
+references is an error, never a silently smaller K.
+
 Each model has exactly one batched forward: ``radmfa_forward`` (both
 retrieval heads, selected by ``RadMfaParams.just_difference``) and
 ``baseline_forward``; a single query is a batch of one. Training, scoring
@@ -29,7 +36,9 @@ import numpy as np
 from . import nn
 from .corpus import LABEL_BONAFIDE, ManifestRecord, load_segment
 from .encoder import CacheIndex, EncoderConfig, encoder_fingerprint, layer_mixer, mel_frames
-from .errors import ConfigurationError, FormatError, IncompatibilityError, InvalidInputError
+from .errors import (
+    ConfigurationError, FeatureLoadError, FormatError, IncompatibilityError, InvalidInputError
+)
 from .metrics import ScoreRecord, pooled_eer
 from .vecstore import QueryResult, StoreSet
 
@@ -258,48 +267,27 @@ def baseline_forward(
 # --- reference assembly -------------------------------------------------------
 
 
-class FeatureLookup:
-    """Memoized access to cached embeddings and to short features at `tau`
-    (default: the cache's own) by utt_id."""
-
-    def __init__(self, cache: CacheIndex, tau: int | None = None):
-        self.cache = cache
-        self.tau = tau
-        self._short: dict[str, np.ndarray] = {}
-        self._embed: dict[str, np.ndarray] = {}
-
-    def short(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self._short:
-            self._short[utt_id] = self.cache.load_short(utt_id, self.tau).values.astype(np.float32)
-        return self._short[utt_id]
-
-    def embedding(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self._embed:
-            self._embed[utt_id] = self.cache.load_embedding(utt_id).values.astype(np.float64)
-        return self._embed[utt_id]
-
-
-def assemble_references(result: QueryResult, lookup: FeatureLookup, k: int) -> np.ndarray:
-    """Stack (K, L, T, F) where layer l of reference k is layer-l's rank-k hit."""
-    n_layers = len(result.hits)
-    k_eff = min([k] + [len(hits) for hits in result.hits])
-    if k_eff < 1:
-        raise InvalidInputError("retrieval returned no references")
-    refs = []
-    for rank in range(k_eff):
-        layers = [
-            lookup.short(result.hits[l][rank].segment_ref)[l] for l in range(n_layers)
-        ]
-        refs.append(np.stack(layers, axis=0))
-    return np.stack(refs, axis=0)
+def assemble_references(result: QueryResult, rows: dict[str, int], k: int) -> np.ndarray:
+    """(K, L) short-table rows: entry [r, l] is the row of layer l's rank-r hit."""
+    try:
+        return np.array(
+            [[rows[hits[rank].segment_ref] for hits in result.hits] for rank in range(k)],
+            dtype=np.intp,
+        )
+    except KeyError as exc:
+        raise FeatureLoadError(f"reference {exc} is not in the cache") from None
 
 
 def retrieve_references(
-    utt_id: str, store: StoreSet, lookup: FeatureLookup, k: int
+    utt_id: str, store: StoreSet, cache: CacheIndex, rows: dict[str, int], k: int
 ) -> np.ndarray:
-    """Top-k references for one cached query, always excluding the query itself."""
-    result = store.query_topk(lookup.embedding(utt_id), k, exclude={utt_id})
-    return assemble_references(result, lookup, k)
+    """Rows of the top-k references for one cached query, always excluding
+    the query itself; InvalidInputError when a layer finds fewer than k."""
+    result = store.query_topk(cache.load_embedding(utt_id).values, k, exclude={utt_id})
+    found = min(len(hits) for hits in result.hits)
+    if found < k:
+        raise InvalidInputError(f"{utt_id!r}: retrieval found {found} references, need k={k}")
+    return assemble_references(result, rows, k)
 
 
 # --- training ----------------------------------------------------------------
@@ -313,6 +301,13 @@ class TrainHyper:
     seed: int = 0
     k_refs: int = 10
     tau: int = 10
+
+    def validate(self) -> None:
+        for name in ("batch_size", "epochs", "k_refs", "tau"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not np.isfinite(self.lr) or self.lr < 0:  # lr=0 freezes a run
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -340,7 +335,7 @@ def _scores_from_logits(records, logits: np.ndarray) -> list[ScoreRecord]:
 class _BaselineRunner:
     def __init__(self, manifest_dir, encoder_cfg, hyper, mel_store=None):
         if encoder_cfg.kind != "pseudo_trainable":
-            raise ConfigurationError("baseline training needs kind pseudo_trainable")
+            raise ConfigurationError("the baseline needs encoder kind pseudo_trainable")
         self.encoder_cfg = encoder_cfg
         self.hyper = hyper
         self.mel_store = mel_store if mel_store is not None else {}
@@ -365,39 +360,40 @@ class _BaselineRunner:
 class _RadRunner:
     def __init__(self, store, cache, hyper, just_difference):
         if store is None or cache is None:
-            raise ConfigurationError("retrieval-augmented training needs a store and a cache")
+            raise ConfigurationError("retrieval-augmented models need a store and a cache")
         if store.fingerprint != cache.fingerprint:
             raise IncompatibilityError("store and cache were built from different encoders")
         self.hyper = hyper
-        self.lookup = FeatureLookup(cache, hyper.tau)
         self.store = store
+        self.cache = cache
+        self.rows, self.table = cache.short_table(hyper.tau)
         rng = np.random.default_rng(np.random.SeedSequence((hyper.seed, 502)))
         self.params = init_radmfa(
             cache.n_layers, cache.feat_dim, rng, just_difference=just_difference
         )
         self.param_set = nn.ParamSet(self.params.tensors())
-        self._refs: dict[str, np.ndarray] = {}
+        self._ref_rows: dict[str, np.ndarray] = {}
 
     def _references(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self._refs:
-            self._refs[utt_id] = retrieve_references(
-                utt_id, self.store, self.lookup, self.hyper.k_refs
+        if utt_id not in self._ref_rows:
+            self._ref_rows[utt_id] = retrieve_references(
+                utt_id, self.store, self.cache, self.rows, self.hyper.k_refs
             )
-        return self._refs[utt_id]
+        return self._ref_rows[utt_id]
 
     def logits(self, batch_records) -> nn.Tensor:
-        queries = np.stack([self.lookup.short(r.utt_id) for r in batch_records]).astype(np.float64)
-        refs = np.stack([self._references(r.utt_id) for r in batch_records]).astype(np.float64)
-        return radmfa_forward(queries, refs, self.params)
+        ref_rows = np.stack([self._references(r.utt_id) for r in batch_records])  # (B, K, L)
+        queries = self.table[[self.rows[r.utt_id] for r in batch_records]]  # (B, L, T, F)
+        refs = self.table[ref_rows, np.arange(self.table.shape[1])]  # (B, K, L, T, F)
+        return radmfa_forward(queries.astype(np.float64), refs.astype(np.float64), self.params)
 
 
-def _eval_eer(runner, records, batch_size) -> float:
-    logits = []
-    for start in range(0, len(records), batch_size):
-        batch = records[start : start + batch_size]
-        logits.append(runner.logits(batch).data)
-    scores = _scores_from_logits(records, np.concatenate(logits, axis=0))
-    return pooled_eer(scores).eer
+def _scores(runner, records, batch_size) -> list[ScoreRecord]:
+    logits = [
+        runner.logits(records[start : start + batch_size]).data
+        for start in range(0, len(records), batch_size)
+    ]
+    return _scores_from_logits(records, np.concatenate(logits, axis=0))
 
 
 def train_model(
@@ -418,6 +414,7 @@ def train_model(
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
+    hyper.validate()
     train_records = [r for r in records if r.split == "train"]
     dev_records = [r for r in records if r.split == "dev"]
     if not train_records or not dev_records:
@@ -443,7 +440,7 @@ def train_model(
             runner.param_set.adam_step(hyper.lr)
             epoch_loss += float(loss.data) * len(batch)
         epoch_loss /= len(train_records)
-        dev_eer = _eval_eer(runner, dev_records, hyper.batch_size)
+        dev_eer = pooled_eer(_scores(runner, dev_records, hyper.batch_size)).eer
         log_lines.append(f"{epoch}\t{epoch_loss:.9g}\t{dev_eer:.9g}")
         if best is None or dev_eer < best[0]:
             best = (dev_eer, epoch, runner.param_set.clone_arrays())
@@ -498,15 +495,9 @@ def tuned_encoder_from_checkpoint(checkpoint_path, base_cfg: EncoderConfig) -> E
     arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != "baseline":
         raise IncompatibilityError("only baseline checkpoints carry encoder tuning")
-    params = _rebuild_baseline(arrays, meta["n_layers"], meta["feat_dim"])
-    return base_cfg.with_tuning([t.data for t in params.scales], [t.data for t in params.shifts])
-
-
-def _rebuild_baseline(arrays: dict[str, np.ndarray], n_layers: int, feat_dim: int) -> BaselineParams:
-    rng = np.random.default_rng(0)
-    params = init_baseline(n_layers, feat_dim, rng)
+    params = init_baseline(meta["n_layers"], meta["feat_dim"], np.random.default_rng(0))
     nn.ParamSet(params.tensors()).load_arrays(arrays)
-    return params
+    return base_cfg.with_tuning([t.data for t in params.scales], [t.data for t in params.shifts])
 
 
 def score_dataset(
@@ -527,11 +518,12 @@ def score_dataset(
     arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != kind:
         raise IncompatibilityError(f"checkpoint is kind {meta['kind']}, requested {kind}")
-    n_layers, feat_dim = meta["n_layers"], meta["feat_dim"]
-    tau = tau if tau is not None else meta["tau"]
-    k = k_refs if k_refs is not None else meta["k_refs"]
-
+    hyper = TrainHyper(
+        k_refs=k_refs if k_refs is not None else meta["k_refs"],
+        tau=tau if tau is not None else meta["tau"],
+    )
     if kind == "baseline":
+        n_layers, feat_dim = meta["n_layers"], meta["feat_dim"]
         if encoder_cfg is None:
             encoder_cfg = EncoderConfig(
                 kind="pseudo_trainable",
@@ -547,30 +539,12 @@ def score_dataset(
             raise IncompatibilityError(
                 "checkpoint encoder geometry does not match the configured encoder"
             )
-        params = _rebuild_baseline(arrays, n_layers, feat_dim)
-        all_logits = []
-        for start in range(0, len(records), batch_size):
-            batch = records[start : start + batch_size]
-            segments = [load_segment(manifest_dir, r) for r in batch]
-            mels = np.stack([mel_frames(s.samples, feat_dim) for s in segments])
-            all_logits.append(baseline_forward(mels, params, encoder_cfg, tau).data)
-        return _scores_from_logits(records, np.concatenate(all_logits, axis=0))
-
-    if store is None or cache is None:
-        raise ConfigurationError("retrieval-augmented scoring needs a store and a cache")
-    if meta["fingerprint"] != cache.fingerprint:
-        raise IncompatibilityError(
-            "checkpoint was trained on features from a different encoder"
-        )
-    params = init_radmfa(n_layers, feat_dim, np.random.default_rng(0), kind == "just_difference")
-    nn.ParamSet(params.tensors()).load_arrays(arrays)
-    lookup = FeatureLookup(cache, tau)
-    all_logits = []
-    for start in range(0, len(records), batch_size):
-        batch = records[start : start + batch_size]
-        queries = np.stack([lookup.short(r.utt_id) for r in batch]).astype(np.float64)
-        refs = np.stack(
-            [retrieve_references(r.utt_id, store, lookup, k) for r in batch]
-        ).astype(np.float64)
-        all_logits.append(radmfa_forward(queries, refs, params).data)
-    return _scores_from_logits(records, np.concatenate(all_logits, axis=0))
+        runner = _BaselineRunner(manifest_dir, encoder_cfg, hyper)
+    else:
+        if cache is not None and meta["fingerprint"] != cache.fingerprint:
+            raise IncompatibilityError(
+                "checkpoint was trained on features from a different encoder"
+            )
+        runner = _RadRunner(store, cache, hyper, kind == "just_difference")
+    runner.param_set.load_arrays(arrays)
+    return _scores(runner, records, batch_size)

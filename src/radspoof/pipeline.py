@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics, model, vecstore
 from .corpus import LABEL_BONAFIDE, ManifestRecord
 from .encoder import CacheIndex, EncoderConfig, extract_and_cache
-from .model import FeatureLookup, TrainHyper
+from .model import TrainHyper
 from .vecstore import StoreSet, speaker_consistency
 
 ABLATION_VARIANTS = ("full", "no_rad", "no_extra_db", "just_difference")
@@ -272,7 +272,6 @@ def retrieval_report(
     query_split: str = "eval",
 ) -> RetrievalReport:
     """Quantify how often each layer retrieves the query's own speaker."""
-    lookup = FeatureLookup(cache)
     candidates = [
         r for r in records if r.split == query_split and r.label == LABEL_BONAFIDE
     ]
@@ -283,7 +282,8 @@ def retrieval_report(
     sims: list[list[float]] = [[] for _ in range(store.n_layers)]
     rows = []
     for record in queries:
-        result = store.query_topk(lookup.embedding(record.utt_id), k, exclude={record.utt_id})
+        embedding = cache.load_embedding(record.utt_id).values
+        result = store.query_topk(embedding, k, exclude={record.utt_id})
         per_layer = speaker_consistency(result, record.speaker_id)
         rows.append((record.utt_id, store.n_layers, per_layer))
         for layer, frac in enumerate(per_layer):

@@ -230,8 +230,8 @@ def test_eval_incomplete_checkpoint_fails_with_error_line(
 
 
 @pytest.mark.parametrize(
-    "wav", [None, b"not a wav file", np.nan, np.inf, 1.5],
-    ids=["missing", "unparseable", "nan", "inf", "out_of_range"],
+    "wav", [None, b"not a wav file", "truncated", np.nan, np.inf, 1.5],
+    ids=["missing", "unparseable", "truncated", "nan", "inf", "out_of_range"],
 )
 def test_extract_bad_wav_fails_with_error_line(tmp_path, capsys, wav):
     manifest = tmp_path / "manifest.tsv"
@@ -241,6 +241,9 @@ def test_extract_bad_wav_fails_with_error_line(tmp_path, capsys, wav):
     if isinstance(wav, bytes):
         wav_path.parent.mkdir()
         wav_path.write_bytes(wav)
+    elif wav == "truncated":  # cut inside the data chunk
+        write_wav(wav_path, np.zeros(16000, dtype=np.float32))
+        wav_path.write_bytes(wav_path.read_bytes()[: wav_path.stat().st_size // 2])
     elif wav is not None:
         samples = np.zeros(16000, dtype=np.float32)
         samples[100] = wav
@@ -318,6 +321,21 @@ def test_eval_derives_checkpoint_tau_from_tau_one_cache(workspace, tmp_path, cap
     assert outputs["1"].read_bytes() == outputs["10"].read_bytes()
 
 
+def test_train_with_fewer_references_than_k_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    # store members find every other entry, one short of k; other queries find k
+    k = len((store_dir / "records.tsv").read_text().splitlines())
+    capsys.readouterr()
+    code = main([
+        "train", "--kind", "radmfa", "--manifest", str(manifest),
+        "--out", str(tmp_path / "ck"), "--epochs", "1", "--batch", "8",
+        "--cache", str(cache_dir), "--store", str(store_dir), "--k", str(k),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"found {k - 1} references, need k={k}" in err
+
+
 def test_gradcheck_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -342,6 +360,29 @@ def test_config_file_supplies_defaults(workspace, tmp_path, capsys):
         "--store", str(store_dir), "--queries", "3", "--split", "eval",
         "--config", str(config), "--out", str(tmp_path / "r.csv"),
     ]) == 0
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, manifest: ["gradcheck", "--config", str(tmp / "missing.cfg")],
+        lambda tmp, manifest: ["gradcheck", "--config", str(_write(tmp / "c.cfg", "seed=abc\n"))],
+        lambda tmp, manifest: ["synth", "--out", str(tmp / "corpus"), "--splits", "train"],
+        lambda tmp, manifest: [
+            "ablate", "--manifest", str(manifest), "--workdir", str(tmp / "w"), "--seeds", "0,a",
+        ],
+    ],
+    ids=["missing_config", "non_integer_config_value", "splits_without_count", "bad_seeds"],
+)
+def test_bad_text_input_fails_with_error_line(workspace, tmp_path, capsys, argv):
+    capsys.readouterr()
+    assert main(argv(tmp_path, workspace[1])) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_config_key_fails(workspace, tmp_path):

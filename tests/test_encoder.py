@@ -25,7 +25,6 @@ from radspoof.errors import (
     FormatError,
     IncompatibilityError,
 )
-from radspoof.model import FeatureLookup
 
 
 def tiny_cfg(**overrides):
@@ -276,11 +275,13 @@ def test_tau_one_cache_derives_short_features_exactly(small_corpus, tmp_path, ta
     root, records = small_corpus
     full = extract_and_cache(records, root, tiny_cfg(), tau=1, cache_dir=tmp_path / "c1")
     direct = extract_and_cache(records, root, tiny_cfg(), tau=tau, cache_dir=tmp_path / "c")
-    derived_lookup, direct_lookup = FeatureLookup(full, tau), FeatureLookup(direct)
+    (derived_rows, derived_table), (direct_rows, direct_table) = (
+        full.short_table(tau), direct.short_table()
+    )
     for record in records:
-        derived = derived_lookup.short(record.utt_id)
+        derived = derived_table[derived_rows[record.utt_id]]
         assert derived.dtype == np.float32
-        assert derived.tobytes() == direct_lookup.short(record.utt_id).tobytes()
+        assert derived.tobytes() == direct_table[direct_rows[record.utt_id]].tobytes()
     assert full.load_short(records[0].utt_id, tau).tau == tau
 
 
@@ -292,7 +293,16 @@ def test_cache_serves_only_its_own_tau_unless_tau_one(small_corpus, tmp_path):
     with pytest.raises(IncompatibilityError):
         cache.load_short(utt, 5)
     with pytest.raises(IncompatibilityError):
-        FeatureLookup(cache, 5).short(utt)
+        cache.short_table(5)
+
+
+def test_short_table_disagreeing_shapes_is_feature_load_error(small_corpus, tmp_path):
+    root, records = small_corpus
+    cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
+    odd = records[-1].utt_id
+    radf.write_feature(cache.short_path(odd), np.zeros((3, 7, 16), np.float32), radf.KIND_SHORT)
+    with pytest.raises(FeatureLoadError, match=odd):
+        cache.short_table()
 
 
 def test_cache_unknown_utt_is_feature_load_error(small_corpus, tmp_path):

@@ -5,7 +5,7 @@ from radspoof import model, nn, vecstore
 from radspoof.cli import mfa_grad_check, radmfa_grad_check
 from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache, mel_frames
-from radspoof.errors import ConfigurationError, FormatError, InvalidInputError
+from radspoof.errors import ConfigurationError, FeatureLoadError, FormatError, InvalidInputError
 from radspoof.metrics import pooled_eer
 from radspoof.model import (
     TrainHyper,
@@ -209,15 +209,16 @@ def test_untrained_eer_near_chance(tiny_setup):
     # on the full toy corpus in the acceptance suite
     root, records, encoder_cfg, cache, store = tiny_setup
     eval_records = [r for r in records if r.split == "eval"]
-    lookup = model.FeatureLookup(cache)
+    rows, table = cache.short_table()
     eers = []
     for seed in range(3):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 502)))
         params = init_radmfa(3, 16, rng)
-        queries = np.stack([lookup.short(r.utt_id) for r in eval_records]).astype(float)
-        refs = np.stack(
-            [model.retrieve_references(r.utt_id, store, lookup, 5) for r in eval_records]
-        ).astype(float)
+        queries = table[[rows[r.utt_id] for r in eval_records]].astype(float)
+        ref_rows = np.stack(
+            [model.retrieve_references(r.utt_id, store, cache, rows, 5) for r in eval_records]
+        )
+        refs = table[ref_rows, np.arange(3)].astype(float)
         logits = radmfa_forward(queries, refs, params).data
         scores = model._scores_from_logits(eval_records, logits)
         eers.append(pooled_eer(scores).eer)
@@ -281,6 +282,26 @@ def test_scoring_deterministic_and_k_sensitive(tiny_setup, tmp_path):
     assert any(
         a.score != b.score for a, b in zip(scores_a, scores_k3)
     ), "changing K should generally change scores"
+    # every eval query finds the whole store, one reference short of k
+    with pytest.raises(InvalidInputError, match=f"found {store.count} references, need k="):
+        score_dataset(
+            "radmfa", trained.checkpoint_path, eval_records, root,
+            store=store, cache=cache, k_refs=store.count + 1,
+        )
+
+
+def test_scoring_with_a_cache_missing_store_members_is_feature_load_error(tiny_setup, tmp_path):
+    root, records, encoder_cfg, cache, store = tiny_setup
+    hyper = TrainHyper(lr=3e-4, batch_size=12, epochs=1, seed=6, k_refs=5, tau=10)
+    trained = train_model(
+        "radmfa", records, root, encoder_cfg, hyper, tmp_path, store=store, cache=cache,
+    )
+    eval_records = [r for r in records if r.split == "eval"]
+    eval_only = extract_and_cache(eval_records, root, encoder_cfg, 10, tmp_path / "eval_cache")
+    with pytest.raises(FeatureLoadError, match="not in the cache"):
+        score_dataset(
+            "radmfa", trained.checkpoint_path, eval_records, root, store=store, cache=eval_only
+        )
 
 
 def test_baseline_training_smoke(tiny_setup, tmp_path):
@@ -351,6 +372,19 @@ def test_train_requires_store_for_rad(tiny_setup, tmp_path):
     hyper = TrainHyper(epochs=1, seed=0)
     with pytest.raises(ConfigurationError):
         train_model("radmfa", records, root, encoder_cfg, hyper, tmp_path, cache=cache)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(batch_size=0), dict(epochs=0), dict(k_refs=0), dict(tau=0),
+     dict(lr=-1e-3), dict(lr=float("nan")), dict(lr=float("inf"))],
+    ids=["batch", "epochs", "k_refs", "tau", "negative_lr", "nan_lr", "inf_lr"],
+)
+def test_train_rejects_out_of_range_hyperparameters(tiny_setup, tmp_path, bad):
+    root, records, encoder_cfg, _, _ = tiny_setup
+    hyper = TrainHyper(**{**dict(epochs=1, batch_size=12), **bad})
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        train_model("baseline", records, root, encoder_cfg, hyper, tmp_path)
 
 
 def test_unknown_kind_rejected(tiny_setup, tmp_path):

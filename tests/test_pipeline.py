@@ -2,7 +2,7 @@ import pytest
 
 from radspoof import pipeline, vecstore
 from radspoof.corpus import CorpusConfig, write_corpus
-from radspoof.encoder import EncoderConfig, extract_and_cache
+from radspoof.encoder import CacheIndex, EncoderConfig, extract_and_cache
 from radspoof.model import TrainHyper
 from radspoof.pipeline import (
     ablation_grid,
@@ -61,13 +61,24 @@ def test_retrieval_report_shape(micro_setup):
     assert (root / "r.csv").read_text().count("\n") == 4
 
 
-def test_seed_experiment_and_grid_deterministic(micro_setup, tmp_path):
+def test_seed_experiment_and_grid_deterministic(micro_setup, tmp_path, monkeypatch):
     root, records, base_cfg, hyper = micro_setup
     workdir = tmp_path / "grid"
+    load_short = CacheIndex.load_short
+    short_taus = []
+
+    def counting(self, utt_id, tau=None):
+        short_taus.append(tau)
+        return load_short(self, utt_id, tau)
+
+    monkeypatch.setattr(CacheIndex, "load_short", counting)
     rows_a, sweep_a = ablation_grid(
         workdir, records, root / "corpus", base_cfg, hyper, seeds=(0,),
         variants=("full", "no_rad", "no_extra_db", "just_difference"), taus=(5, 10),
     )
+    monkeypatch.undo()
+    # runners, scoring calls and sweep points share one short-feature table per tau
+    assert len(short_taus) <= len(records) * len({hyper.tau, 5, 10})
     csv_a = (workdir / "ablation.csv").read_bytes()
     sweep_csv_a = (workdir / "tau_sweep.csv").read_bytes()
     assert len(rows_a) == 4
