@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,6 @@ def _parse_split_counts(text: str) -> dict[str, int]:
 
 def _encoder_config(args, config) -> EncoderConfig:
     return EncoderConfig(
-        kind="pseudo",
         n_layers=_setting(args, config, "layers", 5),
         feat_dim=_setting(args, config, "dim", 32),
         seed=_setting(args, config, "encoder_seed", 0),
@@ -169,8 +169,7 @@ def _cmd_retrieve(args, config) -> int:
     store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
     k = _setting(args, config, "k", 10)
     if args.utt:
-        embedding = cache.load_embedding(args.utt).values
-        result = store.query_topk(embedding, k, exclude={args.utt})
+        result = store.query_topk(cache.load_embedding(args.utt), k, exclude={args.utt})
         speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), "?")
         fractions = vecstore.speaker_consistency(result, speaker)
         for layer, hits in enumerate(result.hits):
@@ -218,28 +217,16 @@ def _cmd_train(args, config) -> int:
     records = read_manifest(args.manifest)
     manifest_dir = Path(args.manifest).parent
     hyper = _hyper(args, config)
-    base_cfg = _encoder_config(args, config)
+    encoder_cfg = _encoder_config(args, config)
     store = cache = None
-    if args.kind == "baseline":
-        encoder_cfg = base_cfg if base_cfg.kind == "pseudo_trainable" else EncoderConfig(
-            kind="pseudo_trainable",
-            n_layers=base_cfg.n_layers,
-            feat_dim=base_cfg.feat_dim,
-            seed=base_cfg.seed,
-        )
-    else:
+    if args.kind != "baseline":
         if not args.cache or not args.store:
             print("error: --cache and --store are required for retrieval models",
                   file=sys.stderr)
             return 2
         cache = CacheIndex.load(args.cache)
         store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
-        encoder_cfg = EncoderConfig(
-            kind="pseudo",
-            n_layers=cache.n_layers,
-            feat_dim=cache.feat_dim,
-            seed=base_cfg.seed,
-        )
+        encoder_cfg = replace(encoder_cfg, n_layers=cache.n_layers, feat_dim=cache.feat_dim)
     result = model.train_model(
         args.kind,
         records,
@@ -316,13 +303,7 @@ def _cmd_ablate(args, config) -> int:
     records = read_manifest(args.manifest)
     manifest_dir = Path(args.manifest).parent
     hyper = _hyper(args, config)
-    base = _encoder_config(args, config)
-    base_cfg = EncoderConfig(
-        kind="pseudo_trainable",
-        n_layers=base.n_layers,
-        feat_dim=base.feat_dim,
-        seed=base.seed,
-    )
+    base_cfg = _encoder_config(args, config)
     seeds = [_parse_value(int, s, "--seeds") for s in args.seeds.split(",")]
     workdir = Path(args.workdir)
     pipeline.write_run_manifest(

@@ -351,11 +351,22 @@ def write_manifest(path, records: list[ManifestRecord]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text_file(path) -> str:
+    """A text file's contents: InvalidInputError when it cannot be read,
+    FormatError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_manifest(path) -> list[ManifestRecord]:
     path = Path(path)
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text_file(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -3,10 +3,13 @@
 Layer 0 is a log-mel spectrogram (25 ms Hann window, 20 ms hop, triangular
 mel filters over 0-8 kHz). Each further layer applies a fixed seeded
 orthogonal mix followed by tanh, giving progressively more abstract
-features. The trainable variant adds a per-layer scale and shift so the
-stack can be tuned end to end and then frozen.
+features. Every layer ends in a per-layer scale and shift, the identity
+unless the config sets them ("tuned"): the baseline tunes them end to end,
+and the frozen tuned stack feeds both the retrieval stores and the
+classifier.
 
-Two reductions operate on the (L, T', F) long feature:
+Features are plain float32 arrays. Two reductions operate on the (L, T', F)
+long feature:
 
   * temporal embedding: per-layer mean over frames, the retrieval key
   * time speedup: mean over consecutive frame blocks of length tau
@@ -48,29 +51,20 @@ FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-6
 
-ENCODER_KINDS = ("pseudo", "pseudo_trainable", "external")
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
-    kind: str = "pseudo"
     n_layers: int = 5
     feat_dim: int = 32
     seed: int = 0
-    # pseudo_trainable only: per-layer scale/shift, each shaped (n_layers, feat_dim)
+    # tuning: per-layer scale/shift, each shaped (n_layers, feat_dim); identity when unset
     scales: tuple[tuple[float, ...], ...] | None = None
     shifts: tuple[tuple[float, ...], ...] | None = None
-    external_dir: str | None = None
 
     def validate(self) -> None:
-        if self.kind not in ENCODER_KINDS:
-            raise ConfigurationError(f"unknown encoder kind {self.kind!r}")
         if self.n_layers < 2:
             raise ConfigurationError("n_layers must be >= 2")
         if self.feat_dim < 8:
             raise ConfigurationError("feat_dim must be >= 8")
-        if self.kind == "external" and not self.external_dir:
-            raise ConfigurationError("external encoder needs external_dir")
 
     def scale_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(scales, shifts) as float64 arrays, identity defaults when unset."""
@@ -89,29 +83,9 @@ class EncoderConfig:
     def with_tuning(self, scales: np.ndarray, shifts: np.ndarray) -> "EncoderConfig":
         return replace(
             self,
-            kind="pseudo_trainable",
             scales=tuple(tuple(float(v) for v in row) for row in np.asarray(scales)),
             shifts=tuple(tuple(float(v) for v in row) for row in np.asarray(shifts)),
         )
-
-
-@dataclass
-class LongFeature:
-    values: np.ndarray  # (L, T', F) float32
-    segment_ref: str
-
-
-@dataclass
-class ShortFeature:
-    values: np.ndarray  # (L, T, F)
-    tau: int | None
-    segment_ref: str
-
-
-@dataclass
-class LayerEmbedding:
-    values: np.ndarray  # (L, F)
-    segment_ref: str
 
 
 def frame_count(n_samples: int = SEGMENT_SAMPLES) -> int:
@@ -170,11 +144,9 @@ def layer_mixer(seed: int, layer: int, dim: int) -> np.ndarray:
     return _mixer_cache[key]
 
 
-def encode_long(segment: AudioSegment, cfg: EncoderConfig) -> LongFeature:
-    """Full per-layer feature stack for one 4 s segment."""
+def encode_long(segment: AudioSegment, cfg: EncoderConfig) -> np.ndarray:
+    """Full per-layer feature stack for one 4 s segment, (L, T', F) float32."""
     cfg.validate()
-    if cfg.kind == "external":
-        return _load_external(segment.utt_id, cfg)
     if len(segment.samples) != SEGMENT_SAMPLES:
         raise InvalidInputError(f"{segment.utt_id}: segment must have {SEGMENT_SAMPLES} samples")
     scales, shifts = cfg.scale_arrays()
@@ -186,49 +158,32 @@ def encode_long(segment: AudioSegment, cfg: EncoderConfig) -> LongFeature:
         h = np.tanh(h @ mixer.T)
         h = h * scales[l][None, :] + shifts[l][None, :]
         layers.append(h)
-    values = np.stack(layers, axis=0).astype(np.float32)
-    return LongFeature(values=values, segment_ref=segment.utt_id)
+    return np.stack(layers, axis=0).astype(np.float32)
 
 
-def _load_external(utt_id: str, cfg: EncoderConfig) -> LongFeature:
-    path = Path(cfg.external_dir) / f"{utt_id}.radf"
-    if not path.exists():
-        raise FeatureLoadError(f"external feature missing: {path}")
-    kind, values = radf.read_feature(path)
-    if kind != radf.KIND_LONG:
-        raise FeatureLoadError(f"{path}: expected long-feature kind, got {kind}")
-    if values.shape[0] != cfg.n_layers or values.shape[2] != cfg.feat_dim:
-        raise FeatureLoadError(
-            f"{path}: shape {values.shape} incompatible with L={cfg.n_layers} F={cfg.feat_dim}"
-        )
-    return LongFeature(values=values, segment_ref=utt_id)
-
-
-def temporal_embed(feature: LongFeature) -> LayerEmbedding:
-    """Per-layer mean over frames; the retrieval key."""
-    values = np.asarray(feature.values, dtype=np.float64)
+def temporal_embed(long_feature: np.ndarray) -> np.ndarray:
+    """(L, T', F) -> (L, F) float64, the per-layer mean over frames; the retrieval key."""
+    values = np.asarray(long_feature, dtype=np.float64)
     if values.ndim != 3 or values.shape[1] < 1:
         raise InvalidInputError("long feature must be (L, T', F) with T' >= 1")
-    return LayerEmbedding(values=values.mean(axis=1), segment_ref=feature.segment_ref)
+    return values.mean(axis=1)
 
 
-def time_speedup(feature: LongFeature, tau: int) -> ShortFeature:
-    """Mean over consecutive frame blocks of length tau; T = ceil(T'/tau)."""
+def time_speedup(long_feature: np.ndarray, tau: int) -> np.ndarray:
+    """(L, T', F) -> (L, T, F), the mean over consecutive frame blocks of
+    length tau; T = ceil(T'/tau)."""
     if tau < 1:
         raise ConfigurationError("tau must be >= 1")
-    return ShortFeature(
-        values=nn.block_mean(feature.values, tau, axis=1).data,
-        tau=tau,
-        segment_ref=feature.segment_ref,
-    )
+    return nn.block_mean(long_feature, tau, axis=1).data
 
 
 def encoder_fingerprint(cfg: EncoderConfig) -> str:
     """Digest identifying the feature geometry and any tuned parameters."""
     h = hashlib.sha256()
-    h.update(f"kind={cfg.kind};L={cfg.n_layers};F={cfg.feat_dim};seed={cfg.seed}".encode())
-    if cfg.kind == "external":
-        h.update(f";dir={cfg.external_dir}".encode())
+    # the "kind=pseudo_trainable" prefix is constant: the tuned caches, stores
+    # and checkpoints written while the config still named a kind hashed this
+    # same text, so their fingerprints stay valid
+    h.update(f"kind=pseudo_trainable;L={cfg.n_layers};F={cfg.feat_dim};seed={cfg.seed}".encode())
     if cfg.scales is not None or cfg.shifts is not None:
         scales, shifts = cfg.scale_arrays()
         h.update(scales.astype("<f8").tobytes())
@@ -260,19 +215,19 @@ class CacheIndex:
     def embedding_path(self, utt_id: str) -> Path:
         return self.root / self._entry(utt_id)[1]
 
-    def load_short(self, utt_id: str, tau: int | None = None) -> ShortFeature:
-        """Short feature at `tau`, by default the cache's own; a tau=1 cache
-        serves any tau by block mean, any other cache only its own."""
-        feature = load_feature(self.short_path(utt_id))
-        feature.tau = self.tau
+    def load_short(self, utt_id: str, tau: int | None = None) -> np.ndarray:
+        """(L, T, F) short feature at `tau`, by default the cache's own; a tau=1
+        cache serves any tau by block mean, any other cache only its own."""
+        values = _read_cached(self.short_path(utt_id), radf.KIND_SHORT)
         if tau is None or tau == self.tau:
-            return feature
+            return values
         if self.tau != 1:
             raise IncompatibilityError(f"cache at {self.root} holds tau={self.tau}, not tau={tau}")
-        return time_speedup(LongFeature(feature.values, feature.segment_ref), tau)
+        return time_speedup(values, tau)
 
-    def load_embedding(self, utt_id: str) -> LayerEmbedding:
-        return load_feature(self.embedding_path(utt_id))
+    def load_embedding(self, utt_id: str) -> np.ndarray:
+        """(L, F) embedding, the retrieval key."""
+        return _read_cached(self.embedding_path(utt_id), radf.KIND_EMBEDDING)
 
     def short_table(self, tau: int | None = None) -> tuple[dict[str, int], np.ndarray]:
         """(rows, table): `table` is one float32 (N, L, T, F) array holding every
@@ -283,7 +238,7 @@ class CacheIndex:
             rows = {utt_id: row for row, utt_id in enumerate(self.entries)}
             table = np.empty((0, self.n_layers, 0, self.feat_dim), dtype=np.float32)
             for utt_id, row in rows.items():
-                values = self.load_short(utt_id, tau).values
+                values = self.load_short(utt_id, tau)
                 if row == 0:  # filled in place: a list of rows would double the peak
                     table = np.empty((len(rows),) + values.shape, dtype=np.float32)
                 if values.shape != table.shape[1:]:
@@ -333,17 +288,16 @@ class CacheIndex:
         )
 
 
-def _validate_cached(path: Path, kind: int) -> bool:
-    """True if the file exists and passes full validation; raises on corruption."""
-    if not path.exists():
-        return False
+def _read_cached(path: Path, kind: int) -> np.ndarray:
+    """The values of a cache file of `kind`; CacheCorruptionError when it is
+    missing, unreadable, fails validation or holds another kind."""
     try:
-        found_kind, _ = radf.read_feature(path)
-    except Exception as exc:
-        raise CacheCorruptionError(f"corrupt cache file {path}: {exc}") from exc
+        found_kind, values = radf.read_feature(path)
+    except (OSError, FormatError) as exc:
+        raise CacheCorruptionError(f"corrupt cache file {path}: {exc}") from None
     if found_kind != kind:
         raise CacheCorruptionError(f"corrupt cache file {path}: wrong kind {found_kind}")
-    return True
+    return values
 
 
 def extract_and_cache(
@@ -381,15 +335,16 @@ def extract_and_cache(
         embed_rel = f"embed/{record.utt_id}.radf"
         short_path = cache_dir / short_rel
         embed_path = cache_dir / embed_rel
-        have_short = _validate_cached(short_path, radf.KIND_SHORT)
-        have_embed = _validate_cached(embed_path, radf.KIND_EMBEDDING)
-        if not (have_short and have_embed):
+        n_cached = 0
+        for path, kind in ((short_path, radf.KIND_SHORT), (embed_path, radf.KIND_EMBEDDING)):
+            if path.exists():  # a corrupt entry raises, never gets overwritten
+                _read_cached(path, kind)
+                n_cached += 1
+        if n_cached < 2:
             segment = load_segment(manifest_dir, record)
             long_feature = encode_long(segment, cfg)
-            radf.write_feature(
-                short_path, time_speedup(long_feature, tau).values, radf.KIND_SHORT
-            )
-            radf.write_feature(embed_path, temporal_embed(long_feature).values, radf.KIND_EMBEDDING)
+            radf.write_feature(short_path, time_speedup(long_feature, tau), radf.KIND_SHORT)
+            radf.write_feature(embed_path, temporal_embed(long_feature), radf.KIND_EMBEDDING)
         entries[record.utt_id] = (short_rel, embed_rel)
 
     index = CacheIndex(
@@ -402,14 +357,3 @@ def extract_and_cache(
     )
     index.save()
     return index
-
-
-def load_feature(path):
-    """Read any RADF file back into its feature dataclass."""
-    kind, values = radf.read_feature(path)
-    ref = Path(path).stem
-    if kind == radf.KIND_LONG:
-        return LongFeature(values=values, segment_ref=ref)
-    if kind == radf.KIND_SHORT:
-        return ShortFeature(values=values, tau=None, segment_ref=ref)
-    return LayerEmbedding(values=values, segment_ref=ref)

@@ -31,11 +31,11 @@ class FormatError(RadspoofError):
 
 
 class FeatureLoadError(RadspoofError):
-    """An external or cached feature file is missing or incompatible."""
+    """A cached feature is missing from its cache or incompatible with it."""
 
 
 class CacheCorruptionError(RadspoofError):
-    """A cached feature file exists but fails validation."""
+    """A cache file is missing, unreadable, invalid or of the wrong kind."""
 
 
 class StoreBuildError(RadspoofError):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LABEL_BONAFIDE, LABEL_SPOOF
+from .corpus import LABEL_BONAFIDE, LABEL_SPOOF, read_text_file
 from .errors import InvalidInputError, ManifestParseError, MetricUndefinedError
 
 
@@ -72,6 +72,9 @@ def pooled_eer(records: list[ScoreRecord]) -> EerResult:
 
 
 def write_scores(path, records: list[ScoreRecord]) -> None:
+    bad = next((r for r in records if not math.isfinite(r.score)), None)
+    if bad is not None:  # checked before the file is opened, so no NaN reaches disk
+        raise InvalidInputError(f"non-finite score {bad.score} for {bad.utt_id!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{r.utt_id}\t{r.score:.9g}\t{r.label}" for r in records]
@@ -81,7 +84,7 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
 def read_scores(path) -> list[ScoreRecord]:
     path = Path(path)
     records = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text_file(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -94,6 +97,8 @@ def read_scores(path) -> list[ScoreRecord]:
             score = float(score_text)
         except ValueError:
             raise ManifestParseError(path, line_no, f"bad score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ManifestParseError(path, line_no, f"non-finite score {score_text!r}")
         records.append(ScoreRecord(utt_id, score, label))
     return records
 

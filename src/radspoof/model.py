@@ -256,8 +256,6 @@ def baseline_forward(
     mels: np.ndarray, params: BaselineParams, encoder_cfg: EncoderConfig, tau: int
 ) -> nn.Tensor:
     """Log-mel (B, T', F) -> logits (B, 2) through the trainable encoder stack."""
-    if encoder_cfg.kind != "pseudo_trainable":
-        raise ConfigurationError("baseline needs encoder kind pseudo_trainable")
     stack = encoder_cascade(mels, params, encoder_cfg)
     short = nn.block_mean(stack, tau, axis=2)
     repr_ = mfa_forward(short, params.mfa)
@@ -283,7 +281,7 @@ def retrieve_references(
 ) -> np.ndarray:
     """Rows of the top-k references for one cached query, always excluding
     the query itself; InvalidInputError when a layer finds fewer than k."""
-    result = store.query_topk(cache.load_embedding(utt_id).values, k, exclude={utt_id})
+    result = store.query_topk(cache.load_embedding(utt_id), k, exclude={utt_id})
     found = min(len(hits) for hits in result.hits)
     if found < k:
         raise InvalidInputError(f"{utt_id!r}: retrieval found {found} references, need k={k}")
@@ -334,8 +332,6 @@ def _scores_from_logits(records, logits: np.ndarray) -> list[ScoreRecord]:
 
 class _BaselineRunner:
     def __init__(self, manifest_dir, encoder_cfg, hyper, mel_store=None):
-        if encoder_cfg.kind != "pseudo_trainable":
-            raise ConfigurationError("the baseline needs encoder kind pseudo_trainable")
         self.encoder_cfg = encoder_cfg
         self.hyper = hyper
         self.mel_store = mel_store if mel_store is not None else {}
@@ -526,10 +522,7 @@ def score_dataset(
         n_layers, feat_dim = meta["n_layers"], meta["feat_dim"]
         if encoder_cfg is None:
             encoder_cfg = EncoderConfig(
-                kind="pseudo_trainable",
-                n_layers=n_layers,
-                feat_dim=feat_dim,
-                seed=meta["encoder_seed"],
+                n_layers=n_layers, feat_dim=feat_dim, seed=meta["encoder_seed"]
             )
         elif (
             meta["encoder_seed"] != encoder_cfg.seed
@@ -547,4 +540,6 @@ def score_dataset(
             )
         runner = _RadRunner(store, cache, hyper, kind == "just_difference")
     runner.param_set.load_arrays(arrays)
+    if not records:
+        raise InvalidInputError("no records to score")
     return _scores(runner, records, batch_size)

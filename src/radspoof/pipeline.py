@@ -282,8 +282,7 @@ def retrieval_report(
     sims: list[list[float]] = [[] for _ in range(store.n_layers)]
     rows = []
     for record in queries:
-        embedding = cache.load_embedding(record.utt_id).values
-        result = store.query_topk(embedding, k, exclude={record.utt_id})
+        result = store.query_topk(cache.load_embedding(record.utt_id), k, exclude={record.utt_id})
         per_layer = speaker_consistency(result, record.speaker_id)
         rows.append((record.utt_id, store.n_layers, per_layer))
         for layer, frac in enumerate(per_layer):

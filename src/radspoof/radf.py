@@ -6,7 +6,8 @@ binary header, which keeps the per-clip read of retrieval ingest cheap:
 
     magic   4 bytes  b"RADF"
     version u16      1
-    kind    u8       1=long feature, 2=short feature, 3=layer embedding
+    kind    u8       2=short feature, 3=layer embedding (1, a long feature,
+                     is retired and refused)
     L       u32      number of layers
     T       u32      number of frames (1 for embeddings)
     F       u32      feature dimension
@@ -32,9 +33,9 @@ from .errors import FormatError, InvalidInputError
 MAGIC = b"RADF"
 VERSION = 1
 
-KIND_LONG = 1
 KIND_SHORT = 2
 KIND_EMBEDDING = 3
+_KINDS = (KIND_SHORT, KIND_EMBEDDING)
 
 BUNDLE_MAGIC = "RADP 1"
 
@@ -62,9 +63,11 @@ def _read_payload(buf, offset: int, shape, context) -> tuple[np.ndarray, int]:
 def write_feature(path, values: np.ndarray, kind: int) -> None:
     """Write a feature tensor to ``path``.
 
-    ``values`` must be (L, T, F) for long/short kinds or (L, F) for
+    ``values`` must be (L, T, F) for short features or (L, F) for
     embeddings (stored with T=1).
     """
+    if kind not in _KINDS:
+        raise InvalidInputError(f"cannot write feature kind {kind}")
     values = np.asarray(values)
     if kind == KIND_EMBEDDING:
         if values.ndim != 2:
@@ -80,7 +83,7 @@ def write_feature(path, values: np.ndarray, kind: int) -> None:
 def read_feature(path) -> tuple[int, np.ndarray]:
     """Read a RADF file; returns (kind, values).
 
-    Values are float32, shaped (L, T, F) for long/short kinds and (L, F)
+    Values are float32, shaped (L, T, F) for short features and (L, F)
     for embeddings. Raises FormatError on bad magic, version, kind, shape,
     length or checksum.
     """
@@ -92,8 +95,8 @@ def read_feature(path) -> tuple[int, np.ndarray]:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if kind not in (KIND_LONG, KIND_SHORT, KIND_EMBEDDING):
-        raise FormatError(f"{path}: unknown kind {kind}")
+    if kind not in _KINDS:
+        raise FormatError(f"{path}: unknown or retired kind {kind}")
     values, end = _read_payload(buf, _HEADER.size, (n_layers, n_frames, dim), path)
     if end != len(buf):
         raise FormatError(f"{path}: trailing bytes after the payload")

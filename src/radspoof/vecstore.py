@@ -3,7 +3,8 @@
 One flat store per encoder layer, all sharing the same record list in
 insertion order. Search is an exact cosine scan: similarities are ranked
 descending with ties broken by ascending insertion index, so results are
-total-ordered and reproducible. Zero-norm vectors are never retrieved.
+total-ordered and reproducible. Zero-norm vectors are never retrieved; a
+non-finite vector (built or loaded) or query is refused.
 
 A persisted store is a directory holding ``records.tsv`` (``index utt_id
 speaker_id`` per line, in insertion order) and ``vectors.radp``, one RADP
@@ -69,6 +70,12 @@ class StoreSet:
             self._norms = [
                 np.linalg.norm(v.astype(np.float64), axis=1) for v in self.vectors
             ]
+        for layer, norms in enumerate(self._norms):
+            bad = np.flatnonzero(~np.isfinite(norms))  # finite iff the float32 row is
+            if bad.size:
+                raise StoreBuildError(
+                    f"non-finite vector for {self.utt_ids[bad[0]]!r} in layer {layer}"
+                )
 
     @property
     def count(self) -> int:
@@ -88,6 +95,8 @@ class StoreSet:
             )
         if k < 1:
             raise QueryError("k must be >= 1")
+        if not np.isfinite(query).all():
+            raise QueryError("query has non-finite values")
         exclude = set(exclude)
         keep = np.array([u not in exclude for u in self.utt_ids], dtype=bool)
         per_layer: list[list[RetrievalHit]] = []
@@ -149,8 +158,7 @@ def build_stores(
             continue
         if record.utt_id not in cache.entries:
             raise StoreBuildError(f"no cached features for {record.utt_id!r}")
-        embedding = cache.load_embedding(record.utt_id)
-        rows.append(embedding.values.astype(np.float32))
+        rows.append(cache.load_embedding(record.utt_id).astype(np.float32))
         utt_ids.append(record.utt_id)
         speaker_ids.append(record.speaker_id)
         report.n_inserted += 1

@@ -15,11 +15,13 @@ import pytest
 from radspoof import metrics, model, radf, vecstore
 from radspoof.cli import gradient_check_suite
 from radspoof.corpus import acceptance_corpus_config, write_corpus
-from radspoof.encoder import EncoderConfig, LongFeature, temporal_embed, time_speedup
+from radspoof.encoder import EncoderConfig, temporal_embed, time_speedup
 from radspoof.metrics import ScoreRecord, pooled_eer
 from radspoof.model import TrainHyper
 from radspoof.pipeline import ablation_grid, retrieval_report, run_seed_experiment
 from radspoof.vecstore import StoreSet, build_stores
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2)
 
@@ -34,7 +36,7 @@ def toy(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance")
     started = time.time()
     records, _ = write_corpus(acceptance_corpus_config(seed=11), root / "corpus")
-    base_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=5, feat_dim=32, seed=0)
+    base_cfg = EncoderConfig(n_layers=5, feat_dim=32, seed=0)
     hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=30, seed=0, k_refs=10, tau=10)
     workdir = root / "work"
     ablation_rows, sweep_rows = ablation_grid(
@@ -114,28 +116,22 @@ def test_criterion_3_speedup_algebra():
     divisible_lengths = (20, 40, 60, 100, 200)
     for trial in range(100):
         frames = int(divisible_lengths[trial % len(divisible_lengths)])
-        feature = LongFeature(
-            values=rng.standard_normal((3, frames, 8)).astype(np.float32) * 5.0,
-            segment_ref=f"t{trial}",
-        )
-        embedding = temporal_embed(feature).values
+        feature = rng.standard_normal((3, frames, 8)).astype(np.float32) * 5.0
+        embedding = temporal_embed(feature)
         for tau in taus:
             short = time_speedup(feature, tau)
-            assert short.values.shape[1] == -(-frames // tau)
+            assert short.shape[1] == -(-frames // tau)
             if frames % tau == 0:
-                gap = np.max(np.abs(short.values.mean(axis=1) - embedding))
+                gap = np.max(np.abs(short.mean(axis=1) - embedding))
                 assert gap < 1e-6
         identity = time_speedup(feature, 1)
-        assert np.allclose(identity.values, feature.values)
+        assert np.allclose(identity, feature)
     # ragged lengths still satisfy T = ceil(T'/tau)
     for trial in range(100):
         frames = int(rng.integers(1, 250))
         tau = int(rng.choice(taus))
-        feature = LongFeature(
-            values=rng.standard_normal((2, frames, 4)).astype(np.float32),
-            segment_ref=f"r{trial}",
-        )
-        assert time_speedup(feature, tau).values.shape[1] == -(-frames // tau)
+        feature = rng.standard_normal((2, frames, 4)).astype(np.float32)
+        assert time_speedup(feature, tau).shape[1] == -(-frames // tau)
     print("\n[PASS] criterion 3: speedup-operator algebra")
 
 

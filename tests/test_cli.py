@@ -229,6 +229,31 @@ def test_eval_incomplete_checkpoint_fails_with_error_line(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("damage", ["empty_split", "deleted_short_file"])
+def test_eval_empty_split_or_deleted_cache_file_fails_with_error_line(
+    workspace, tmp_path, capsys, damage
+):
+    root, manifest, cache_dir, store_dir = workspace
+    cache = tmp_path / "cache"
+    shutil.copytree(cache_dir, cache)
+    checkpoint = tmp_path / "rad.ckpt"
+    nn.save_checkpoint(checkpoint, *_radmfa_checkpoint_tensors(cache_dir))
+    split = "eval"
+    if damage == "empty_split":
+        split = "nosuch"
+    else:  # a file index.tsv still lists
+        sorted((cache / "short").iterdir())[0].unlink()
+    capsys.readouterr()
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", str(checkpoint),
+        "--manifest", str(manifest), "--split", split, "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache), "--store", str(store_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "wav", [None, b"not a wav file", "truncated", np.nan, np.inf, 1.5],
     ids=["missing", "unparseable", "truncated", "nan", "inf", "out_of_range"],
@@ -362,22 +387,32 @@ def test_config_file_supplies_defaults(workspace, tmp_path, capsys):
     ]) == 0
 
 
-def _write(path, text):
-    path.write_text(text)
+def _write(path, blob):
+    path.write_bytes(blob)
     return path
+
+
+def _build_db(tmp, manifest):
+    return ["build-db", "--manifest", str(manifest), "--cache", str(tmp / "c"),
+            "--store", str(tmp / "s")]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         lambda tmp, manifest: ["gradcheck", "--config", str(tmp / "missing.cfg")],
-        lambda tmp, manifest: ["gradcheck", "--config", str(_write(tmp / "c.cfg", "seed=abc\n"))],
+        lambda tmp, manifest: ["gradcheck", "--config", str(_write(tmp / "c.cfg", b"seed=abc\n"))],
         lambda tmp, manifest: ["synth", "--out", str(tmp / "corpus"), "--splits", "train"],
         lambda tmp, manifest: [
             "ablate", "--manifest", str(manifest), "--workdir", str(tmp / "w"), "--seeds", "0,a",
         ],
+        lambda tmp, manifest: _build_db(tmp, tmp / "missing.tsv"),
+        lambda tmp, manifest: _build_db(tmp, _write(tmp / "m.tsv", b"u0\tspk\xff\n")),
     ],
-    ids=["missing_config", "non_integer_config_value", "splits_without_count", "bad_seeds"],
+    ids=[
+        "missing_config", "non_integer_config_value", "splits_without_count", "bad_seeds",
+        "missing_manifest", "non_utf8_manifest",
+    ],
 )
 def test_bad_text_input_fails_with_error_line(workspace, tmp_path, capsys, argv):
     capsys.readouterr()

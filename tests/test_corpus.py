@@ -11,6 +11,7 @@ from radspoof.corpus import (
     synthesize_corpus,
     write_manifest,
 )
+from radspoof.metrics import read_scores
 from radspoof.errors import (
     AudioNotFoundError,
     ConfigurationError,
@@ -211,6 +212,16 @@ def test_manifest_duplicate_id_rejected(tmp_path):
     )
     with pytest.raises(ValidationError):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("reader", [read_manifest, read_scores], ids=["manifest", "scores"])
+def test_missing_or_non_utf8_text_file_is_error(tmp_path, reader):
+    with pytest.raises(InvalidInputError, match="missing.tsv"):
+        reader(tmp_path / "missing.tsv")
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"u1\tspk\xff\tbonafide\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        reader(path)
 
 
 def test_wav_roundtrip_bitexact(tmp_path):

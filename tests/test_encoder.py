@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,11 @@ from radspoof.corpus import CorpusConfig, segment_clip, synthesize_corpus, write
 from radspoof.encoder import (
     CacheIndex,
     EncoderConfig,
-    LongFeature,
     encode_long,
     encoder_fingerprint,
     extract_and_cache,
     frame_count,
     layer_mixer,
-    load_feature,
     mel_filterbank,
     mel_frames,
     temporal_embed,
@@ -28,7 +28,7 @@ from radspoof.errors import (
 
 
 def tiny_cfg(**overrides):
-    base = dict(kind="pseudo", n_layers=3, feat_dim=16, seed=5)
+    base = dict(n_layers=3, feat_dim=16, seed=5)
     base.update(overrides)
     return EncoderConfig(**base)
 
@@ -50,27 +50,27 @@ def test_encode_long_shape_and_determinism():
     cfg = tiny_cfg()
     a = encode_long(segment, cfg)
     b = encode_long(segment, cfg)
-    assert a.values.shape == (3, 199, 16)
-    assert a.values.dtype == np.float32
-    assert np.array_equal(a.values, b.values)
+    assert a.shape == (3, 199, 16)
+    assert a.dtype == np.float32
+    assert np.array_equal(a, b)
 
 
 def test_all_zero_segment_gives_constant_layers():
     segment = one_segment()
     segment.samples = np.zeros_like(segment.samples)
     feature = encode_long(segment, tiny_cfg())
-    layer0 = feature.values[0]
+    layer0 = feature[0]
     assert np.allclose(layer0, np.log(1e-6), atol=1e-5)
-    for l in range(feature.values.shape[0]):
-        frames = feature.values[l]
+    for l in range(feature.shape[0]):
+        frames = feature[l]
         assert np.allclose(frames, frames[0][None, :], atol=0)
 
 
 def test_trainable_identity_params_match_pseudo():
     segment = one_segment()
     plain = encode_long(segment, tiny_cfg())
-    trainable = encode_long(segment, tiny_cfg(kind="pseudo_trainable"))
-    assert np.array_equal(plain.values, trainable.values)
+    trainable = encode_long(segment, tiny_cfg().with_tuning(np.ones((3, 16)), np.zeros((3, 16))))
+    assert np.array_equal(plain, trainable)
 
 
 def test_trainable_params_change_downstream_layers():
@@ -79,10 +79,10 @@ def test_trainable_params_change_downstream_layers():
     scales = np.ones((3, 16))
     shifts = np.zeros((3, 16))
     shifts[0, :] = 0.5
-    tuned = tiny_cfg(kind="pseudo_trainable").with_tuning(scales, shifts)
+    tuned = tiny_cfg().with_tuning(scales, shifts)
     plain = encode_long(segment, cfg)
     shifted = encode_long(segment, tuned)
-    assert not np.allclose(plain.values[1], shifted.values[1])
+    assert not np.allclose(plain[1], shifted[1])
 
 
 def test_cached_filterbank_gives_identical_mel_frames(monkeypatch):
@@ -114,62 +114,59 @@ def test_mixer_distinct_per_layer_and_seed():
 
 
 def test_temporal_embed_small_example():
-    feature = LongFeature(values=np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32),
-                          segment_ref="u")
-    embedding = temporal_embed(feature)
-    assert np.allclose(embedding.values, [[2.0, 3.0]])
+    feature = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
+    assert np.allclose(temporal_embed(feature), [[2.0, 3.0]])
 
 
 def test_temporal_embed_constant_layer():
-    feature = LongFeature(values=np.full((2, 9, 4), 3.25, dtype=np.float32), segment_ref="u")
-    assert np.allclose(temporal_embed(feature).values, 3.25)
+    feature = np.full((2, 9, 4), 3.25, dtype=np.float32)
+    assert np.allclose(temporal_embed(feature), 3.25)
 
 
 def test_temporal_embed_matches_loop_oracle():
     rng = np.random.default_rng(11)
     values = rng.standard_normal((3, 199, 32)).astype(np.float32)
-    feature = LongFeature(values=values, segment_ref="u")
-    embedding = temporal_embed(feature)
+    embedding = temporal_embed(values)
     for l in range(3):
         for f in range(32):
             total = 0.0
             for t in range(199):
                 total += float(values[l, t, f])
-            assert abs(embedding.values[l, f] - total / 199) < 1e-6
+            assert abs(embedding[l, f] - total / 199) < 1e-6
 
 
 # --- time speedup ----------------------------------------------------------------
 
 
 def _lf(array):
-    return LongFeature(values=np.asarray(array, dtype=np.float32), segment_ref="u")
+    return np.asarray(array, dtype=np.float32)
 
 
 def test_speedup_block_means():
     feature = _lf([[[1.0], [3.0], [5.0], [7.0]]])
     short = time_speedup(feature, 2)
-    assert np.allclose(short.values, [[[2.0], [6.0]]])
+    assert np.allclose(short, [[[2.0], [6.0]]])
 
 
 def test_speedup_ragged_final_block():
     frames = np.arange(7, dtype=np.float32).reshape(1, 7, 1)
     short = time_speedup(_lf(frames), 3)
-    assert short.values.shape == (1, 3, 1)
-    assert np.allclose(short.values[0, :, 0], [1.0, 4.0, 6.0])
+    assert short.shape == (1, 3, 1)
+    assert np.allclose(short[0, :, 0], [1.0, 4.0, 6.0])
 
 
 def test_speedup_tau_one_is_identity():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((2, 13, 4)).astype(np.float32)
     short = time_speedup(_lf(values), 1)
-    assert np.allclose(short.values, values)
+    assert np.allclose(short, values)
 
 
 def test_speedup_tau_ten_on_199_frames():
     rng = np.random.default_rng(3)
     feature = _lf(rng.standard_normal((2, 199, 8)))
     short = time_speedup(feature, 10)
-    assert short.values.shape[1] == 20
+    assert short.shape[1] == 20
 
 
 @pytest.mark.parametrize("tau", [1, 5, 10, 20])
@@ -178,7 +175,7 @@ def test_frame_counts_are_ceil(tau):
     for frames in (1, 7, 40, 199):
         feature = _lf(rng.standard_normal((1, frames, 4)))
         short = time_speedup(feature, tau)
-        assert short.values.shape[1] == -(-frames // tau)
+        assert short.shape[1] == -(-frames // tau)
 
 
 def test_mean_preserved_when_tau_divides():
@@ -187,15 +184,15 @@ def test_mean_preserved_when_tau_divides():
     embedding = temporal_embed(feature)
     for tau in (1, 2, 4, 5, 8, 10, 20, 40):
         short = time_speedup(feature, tau)
-        assert np.max(np.abs(short.values.mean(axis=1) - embedding.values)) < 1e-6
+        assert np.max(np.abs(short.mean(axis=1) - embedding)) < 1e-6
 
 
 def test_tau_beyond_length_gives_single_mean_frame():
     rng = np.random.default_rng(6)
     feature = _lf(rng.standard_normal((2, 9, 4)))
     short = time_speedup(feature, 50)
-    assert short.values.shape[1] == 1
-    assert np.max(np.abs(short.values[:, 0, :] - temporal_embed(feature).values)) < 1e-6
+    assert short.shape[1] == 1
+    assert np.max(np.abs(short[:, 0, :] - temporal_embed(feature))) < 1e-6
 
 
 def test_speedup_rejects_bad_tau():
@@ -219,10 +216,10 @@ def test_extract_cache_counts_and_roundtrip(small_corpus, tmp_path):
     cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
     assert len(cache.entries) == 6
     short = cache.load_short(records[0].utt_id)
-    assert short.values.shape == (3, 20, 16)
-    assert short.tau == 10
+    assert short.shape == (3, 20, 16)
+    assert short.dtype == np.float32
     embed = cache.load_embedding(records[0].utt_id)
-    assert embed.values.shape == (3, 16)
+    assert embed.shape == (3, 16)
     reloaded = CacheIndex.load(tmp_path / "c")
     assert reloaded.entries == cache.entries
     assert reloaded.fingerprint == cache.fingerprint
@@ -282,14 +279,14 @@ def test_tau_one_cache_derives_short_features_exactly(small_corpus, tmp_path, ta
         derived = derived_table[derived_rows[record.utt_id]]
         assert derived.dtype == np.float32
         assert derived.tobytes() == direct_table[direct_rows[record.utt_id]].tobytes()
-    assert full.load_short(records[0].utt_id, tau).tau == tau
+    assert full.load_short(records[0].utt_id, tau).shape == derived_table.shape[1:]
 
 
 def test_cache_serves_only_its_own_tau_unless_tau_one(small_corpus, tmp_path):
     root, records = small_corpus
     cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
     utt = records[0].utt_id
-    assert cache.load_short(utt, 10).values.tobytes() == cache.load_short(utt).values.tobytes()
+    assert cache.load_short(utt, 10).tobytes() == cache.load_short(utt).tobytes()
     with pytest.raises(IncompatibilityError):
         cache.load_short(utt, 5)
     with pytest.raises(IncompatibilityError):
@@ -345,42 +342,36 @@ def test_embedding_matches_long_feature_mean(small_corpus, tmp_path):
     segment = load_segment(root, records[0])
     long_feature = encode_long(segment, tiny_cfg())
     stored = cache.load_embedding(records[0].utt_id)
-    assert np.max(np.abs(stored.values - temporal_embed(long_feature).values)) < 1e-6
+    assert np.max(np.abs(stored - temporal_embed(long_feature))) < 1e-6
 
 
-def test_external_kind_loads_dump(tmp_path):
-    segment = one_segment()
-    feature = encode_long(segment, tiny_cfg())
-    dump_dir = tmp_path / "ext"
-    dump_dir.mkdir()
-    radf.write_feature(dump_dir / f"{segment.utt_id}.radf", feature.values, radf.KIND_LONG)
-    cfg = tiny_cfg(kind="external", external_dir=str(dump_dir))
-    loaded = encode_long(segment, cfg)
-    assert np.array_equal(loaded.values, feature.values)
-
-
-def test_external_kind_missing_or_mismatched(tmp_path):
-    segment = one_segment()
-    cfg = tiny_cfg(kind="external", external_dir=str(tmp_path))
-    with pytest.raises(FeatureLoadError):
-        encode_long(segment, cfg)
-    feature = encode_long(segment, tiny_cfg())
-    radf.write_feature(tmp_path / f"{segment.utt_id}.radf", feature.values, radf.KIND_LONG)
-    wrong = tiny_cfg(kind="external", external_dir=str(tmp_path), feat_dim=32)
-    with pytest.raises(FeatureLoadError):
-        encode_long(segment, wrong)
+@pytest.mark.parametrize("damage", ["missing", "directory", "wrong_kind"])
+def test_cache_file_missing_or_of_wrong_kind_is_cache_corruption_error(
+    small_corpus, tmp_path, damage
+):
+    root, records = small_corpus
+    cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
+    utt = records[1].utt_id
+    victim = cache.short_path(utt)
+    victim.unlink()
+    if damage == "directory":
+        victim.mkdir()
+    elif damage == "wrong_kind":
+        radf.write_feature(victim, np.zeros((3, 16), np.float32), radf.KIND_EMBEDDING)
+    with pytest.raises(CacheCorruptionError, match=utt):
+        cache.load_short(utt)
+    with pytest.raises(CacheCorruptionError, match=utt):
+        CacheIndex.load(tmp_path / "c").short_table()
 
 
 def test_fingerprint_tracks_tuning():
-    cfg = tiny_cfg(kind="pseudo_trainable")
+    cfg = tiny_cfg()
     plain = encoder_fingerprint(cfg)
     tuned = cfg.with_tuning(np.full((3, 16), 1.1), np.zeros((3, 16)))
     assert encoder_fingerprint(tuned) != plain
 
 
-def test_load_feature_returns_matching_type(tmp_path):
-    values = np.ones((2, 4, 3), dtype=np.float32)
-    radf.write_feature(tmp_path / "s.radf", values, radf.KIND_SHORT)
-    feature = load_feature(tmp_path / "s.radf")
-    assert feature.values.shape == (2, 4, 3)
-    assert feature.segment_ref == "s"
+def test_untuned_fingerprint_hashes_the_stable_geometry_text():
+    # the text every tuned cache, store and checkpoint has been fingerprinted with
+    text = b"kind=pseudo_trainable;L=3;F=16;seed=5"
+    assert encoder_fingerprint(tiny_cfg()) == hashlib.sha256(text).hexdigest()[:16]

@@ -1,15 +1,22 @@
-"""Seeded corruption fuzzing of every persisted tensor file.
+"""Seeded corruption fuzzing of every persisted file.
 
-Each file is cut at every length short of its full size and has every
-byte of its payload and checksum region replaced by a different random
-byte, one at a time; every such file must be refused with FormatError.
+Each file is cut at every length short of its full size and has bytes
+replaced by a different random byte, one at a time. A tensor file has every
+byte of its payload and checksum region replaced, and every such file must
+be refused with FormatError. A text file (manifest, cache meta.txt and
+index.tsv, store records.tsv, score file) has every byte replaced; a cut or
+change can leave it valid, so it must either load or be refused with the
+package's parse errors, never another exception.
 """
 
 import numpy as np
 import pytest
 
 from radspoof import nn, radf
-from radspoof.errors import FormatError
+from radspoof.corpus import ManifestRecord, read_manifest, write_manifest
+from radspoof.encoder import CacheIndex
+from radspoof.errors import FormatError, ManifestParseError, ValidationError
+from radspoof.metrics import ScoreRecord, read_scores, write_scores
 from radspoof.vecstore import StoreSet, load_stores, persist_stores
 
 
@@ -73,3 +80,54 @@ def test_every_truncation_and_payload_byte_change_is_format_error(tmp_path, make
         path.write_bytes(bytes(corrupt))
         with pytest.raises(FormatError):
             load()
+
+
+def _manifest(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, [
+        ManifestRecord("u0", "spk0", "bonafide", None, "wav/u0.wav", "train"),
+        ManifestRecord("u1", "spk1", "spoof", "quantize8", "wav/u1.wav", "eval"),
+    ])
+    return path, lambda: read_manifest(path)
+
+
+def _cache_file(name):
+    def make(tmp_path):
+        entries = {utt: (f"short/{utt}.radf", f"embed/{utt}.radf") for utt in ("u0", "u1")}
+        CacheIndex(tmp_path, "fuzz", tau=1, n_layers=2, feat_dim=8, entries=entries).save()
+        return tmp_path / name, lambda: CacheIndex.load(tmp_path)
+    return make
+
+
+def _records(tmp_path):
+    path, load = _store(tmp_path)
+    return path.parent / "records.tsv", load
+
+
+def _scores(tmp_path):
+    path = tmp_path / "scores.tsv"
+    write_scores(path, [ScoreRecord("u0", 1.25, "bonafide"), ScoreRecord("u1", -0.5, "spoof")])
+    return path, lambda: read_scores(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_manifest, _cache_file("meta.txt"), _cache_file("index.tsv"), _records, _scores],
+    ids=["manifest", "cache_meta", "cache_index", "store_records", "scores"],
+)
+def test_every_truncation_and_byte_change_of_a_text_file_loads_or_is_refused(tmp_path, make):
+    path, load = make(tmp_path)
+    blob = path.read_bytes()
+    load()  # the intact file loads
+    rng = np.random.default_rng(105)
+    variants = [blob[:length] for length in range(len(blob))]
+    for offset in range(len(blob)):
+        corrupt = bytearray(blob)
+        corrupt[offset] ^= int(rng.integers(1, 256))
+        variants.append(bytes(corrupt))
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load()
+        except (FormatError, ManifestParseError, ValidationError):
+            pass  # refused loudly (a changed utt id can duplicate another: ValidationError)

@@ -101,13 +101,20 @@ def test_single_class_undefined():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_score_rejected(bad):
+def test_non_finite_score_rejected(bad, tmp_path):
     # a NaN bonafide score used to drop out of every comparison and give EER 0
     records = [ScoreRecord("b0", bad, "bonafide")] + recs([0.3], [0.1])
     with pytest.raises(InvalidInputError):
         det_points(records)
     with pytest.raises(InvalidInputError):
         pooled_eer(records)
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(InvalidInputError, match="b0"):
+        write_scores(path, records)
+    assert not path.exists()
+    path.write_text(f"s0\t0.1\tspoof\nb0\t{bad}\tbonafide\n")
+    with pytest.raises(ManifestParseError, match=":2:"):
+        read_scores(path)
 
 
 def test_det_points_monotone():

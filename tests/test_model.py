@@ -184,7 +184,7 @@ def tiny_setup(tmp_path_factory):
         split_counts={"train": 36, "dev": 12, "eval": 12},
     )
     records, _ = write_corpus(cfg, root)
-    encoder_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=3, feat_dim=16, seed=3)
+    encoder_cfg = EncoderConfig(n_layers=3, feat_dim=16, seed=3)
     cache = extract_and_cache(records, root, encoder_cfg, tau=10, cache_dir=root / "cache")
     store, _ = vecstore.build_stores(records, cache, splits={"train"})
     return root, records, encoder_cfg, cache, store
@@ -199,9 +199,6 @@ def test_baseline_forward_contract(tiny_setup):
     params = init_baseline(3, 16, rng)
     logits = baseline_forward(mels, params, encoder_cfg, tau=10)
     assert logits.data.shape == (5, 2)
-    with pytest.raises(ConfigurationError):
-        baseline_forward(mels, params, EncoderConfig(kind="pseudo", n_layers=3,
-                                                     feat_dim=16, seed=3), tau=10)
 
 
 def test_untrained_eer_near_chance(tiny_setup):
@@ -317,7 +314,7 @@ def test_baseline_training_smoke(tiny_setup, tmp_path):
     )
     assert len(scores) == len(eval_records)
     tuned = model.tuned_encoder_from_checkpoint(result.checkpoint_path, encoder_cfg)
-    assert tuned.kind == "pseudo_trainable"
+    assert tuned.scales is not None and tuned.shifts is not None
     scales, _ = tuned.scale_arrays()
     assert not np.allclose(scales, 1.0)  # training moved the encoder
 
@@ -348,7 +345,7 @@ def test_incomplete_baseline_checkpoint_is_format_error(tmp_path, drop):
         meta["tau"] = "ten"
     path = tmp_path / "base.ckpt"
     nn.save_checkpoint(path, tensors, meta)
-    encoder_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=2, feat_dim=4, seed=0)
+    encoder_cfg = EncoderConfig(n_layers=2, feat_dim=4, seed=0)
     with pytest.raises(FormatError):
         model.tuned_encoder_from_checkpoint(path, encoder_cfg)
     with pytest.raises(FormatError):
@@ -359,7 +356,7 @@ def test_complete_baseline_checkpoint_gives_its_tuning(tmp_path):
     tensors, meta = _baseline_checkpoint_parts()
     tensors["encoder.scale.1"] = np.full(4, 2.5)
     nn.save_checkpoint(tmp_path / "base.ckpt", tensors, meta)
-    encoder_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=2, feat_dim=4, seed=0)
+    encoder_cfg = EncoderConfig(n_layers=2, feat_dim=4, seed=0)
     scales, shifts = model.tuned_encoder_from_checkpoint(
         tmp_path / "base.ckpt", encoder_cfg
     ).scale_arrays()

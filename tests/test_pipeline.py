@@ -41,15 +41,14 @@ def micro_setup(tmp_path_factory):
         split_counts={"train": 36, "dev": 12, "eval": 16, "retrieval_extra": 8},
     )
     records, _ = write_corpus(cfg, root / "corpus")
-    base_cfg = EncoderConfig(kind="pseudo_trainable", n_layers=3, feat_dim=16, seed=1)
+    base_cfg = EncoderConfig(n_layers=3, feat_dim=16, seed=1)
     hyper = TrainHyper(lr=1e-3, batch_size=12, epochs=2, seed=0, k_refs=3, tau=10)
     return root, records, base_cfg, hyper
 
 
 def test_retrieval_report_shape(micro_setup):
     root, records, base_cfg, hyper = micro_setup
-    plain = EncoderConfig(kind="pseudo", n_layers=3, feat_dim=16, seed=1)
-    cache = extract_and_cache(records, root / "corpus", plain, 10, root / "cache_plain")
+    cache = extract_and_cache(records, root / "corpus", base_cfg, 10, root / "cache_plain")
     store, _ = vecstore.build_stores(records, cache, splits={"train", "retrieval_extra"})
     report = retrieval_report(store, cache, records, k=3, n_queries=6, seed=0)
     assert report.n_queries == 6
@@ -115,7 +114,7 @@ def test_seed_outcome_artifacts(micro_setup, tmp_path):
     assert 0.0 <= outcome.baseline_eer <= 1.0
     assert 0.0 <= outcome.rad_eer <= 1.0
     assert outcome.store.count > 0
-    assert outcome.tuned_cfg.kind == "pseudo_trainable"
+    assert outcome.tuned_cfg.scales is not None and outcome.tuned_cfg.shifts is not None
 
 
 def test_score_at_tau_reuses_seed_cache_and_store(micro_setup, tmp_path, monkeypatch):

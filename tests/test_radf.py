@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radspoof import radf
-from radspoof.errors import FormatError
+from radspoof.errors import FormatError, InvalidInputError
 
 
 def test_roundtrip_short_feature_bitexact(tmp_path):
@@ -28,11 +28,24 @@ def test_roundtrip_embedding(tmp_path):
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.radf"
-    radf.write_feature(path, np.zeros((2, 2, 2), dtype=np.float32), radf.KIND_LONG)
+    radf.write_feature(path, np.zeros((2, 2, 2), dtype=np.float32), radf.KIND_SHORT)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
+        radf.read_feature(path)
+
+
+def test_only_short_and_embedding_kinds_are_written_or_read(tmp_path):
+    for kind in (1, 4):  # 1 is the retired long-feature kind
+        with pytest.raises(InvalidInputError):
+            radf.write_feature(tmp_path / "x.radf", np.zeros((2, 2, 2), np.float32), kind)
+    path = tmp_path / "old.radf"
+    radf.write_feature(path, np.zeros((2, 2, 2), dtype=np.float32), radf.KIND_SHORT)
+    blob = bytearray(path.read_bytes())
+    blob[6] = 1  # the kind byte, after the magic and the version
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="kind 1"):
         radf.read_feature(path)
 
 

@@ -65,7 +65,7 @@ def test_tracer_hooks_see_reference_rows_of_training_and_scoring(tmp_path):
         split_counts={"train": 8, "dev": 4, "eval": 4},
     )
     records, _ = write_corpus(cfg, tmp_path / "corpus")
-    encoder_cfg = EncoderConfig(kind="pseudo", n_layers=2, feat_dim=8, seed=1)
+    encoder_cfg = EncoderConfig(n_layers=2, feat_dim=8, seed=1)
     cache = extract_and_cache(records, tmp_path / "corpus", encoder_cfg, 1, tmp_path / "cache")
     store, _ = vecstore.build_stores(records, cache, splits={"train", "dev"})
     hyper = model.TrainHyper(lr=1e-3, batch_size=4, epochs=1, k_refs=2, tau=10)

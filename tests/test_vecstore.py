@@ -1,4 +1,5 @@
 import math
+import shutil
 import struct
 import zlib
 
@@ -7,7 +8,7 @@ import pytest
 
 from radspoof import radf, vecstore
 from radspoof.corpus import CorpusConfig, write_corpus
-from radspoof.encoder import EncoderConfig, extract_and_cache
+from radspoof.encoder import CacheIndex, EncoderConfig, extract_and_cache
 from radspoof.errors import (
     FormatError, IncompatibilityError, QueryError, StoreBuildError, StoreNotFoundError
 )
@@ -137,6 +138,20 @@ def test_empty_store_returns_empty():
     assert result.truncated
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_or_query_is_error(bad):
+    # a NaN row was never retrieved, and a NaN query took the first k rows
+    vectors = np.ones((3, 4), dtype=np.float32)
+    vectors[1, 2] = bad
+    with pytest.raises(StoreBuildError, match="u1"):
+        make_store([np.ones((3, 4)), vectors])
+    store = make_store([np.ones((3, 4))])
+    query = np.ones((1, 4))
+    query[0, 3] = bad
+    with pytest.raises(QueryError):
+        store.query_topk(query, k=1)
+
+
 def test_speaker_consistency_fractions():
     rng = np.random.default_rng(5)
     vectors = rng.standard_normal((10, 4)).astype(np.float32)
@@ -163,7 +178,7 @@ def cached_corpus(tmp_path_factory):
         split_counts={"train": 14, "retrieval_extra": 6},
     )
     records, _ = write_corpus(cfg, root)
-    encoder_cfg = EncoderConfig(kind="pseudo", n_layers=3, feat_dim=16, seed=2)
+    encoder_cfg = EncoderConfig(n_layers=3, feat_dim=16, seed=2)
     cache = extract_and_cache(records, root, encoder_cfg, tau=10,
                               cache_dir=root / "cache")
     return records, cache
@@ -325,6 +340,33 @@ def test_load_bundle_disagreeing_with_records_is_format_error(cached_corpus, tmp
     persist_stores(store, tmp_path)
     _rewrite_bundle(tmp_path, edit)
     with pytest.raises(FormatError):
+        load_stores(tmp_path)
+
+
+def _bonafide_train_utt(records):
+    return next(r.utt_id for r in records if r.split == "train" and r.label == "bonafide")
+
+
+def test_non_finite_cached_embedding_fails_build(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    shutil.copytree(cache.root, tmp_path / "cache")
+    cache = CacheIndex.load(tmp_path / "cache")
+    victim = _bonafide_train_utt(records)
+    embedding = cache.load_embedding(victim)
+    embedding[0, 0] = np.nan
+    radf.write_feature(cache.embedding_path(victim), embedding, radf.KIND_EMBEDDING)
+    with pytest.raises(StoreBuildError, match=victim):
+        build_stores(records, cache)
+
+
+def test_non_finite_persisted_row_fails_load(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    victim = _bonafide_train_utt(records)
+    row = store.utt_ids.index(victim)
+    _rewrite_bundle(tmp_path, lambda tensors, meta: tensors["layer01"].__setitem__(row, np.inf))
+    with pytest.raises(StoreBuildError, match=victim):
         load_stores(tmp_path)
 
 
