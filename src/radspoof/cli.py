@@ -39,12 +39,19 @@ _CONFIG_KEYS = {
     "encoder_seed": int,
 }
 
+# the config keys whose dataclass field has another name
+_FIELD_OF = dict(
+    layers="n_layers", dim="feat_dim", encoder_seed="seed", batch="batch_size", k="k_refs"
+)
+
 
 def _read_config_file(path) -> dict:
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
     values = {}
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -66,11 +73,17 @@ def _parse_value(cast, text: str, what: str):
         raise ConfigurationError(f"{what}: expected {cast.__name__}, got {text!r}") from None
 
 
-def _setting(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def _settings(args, config: dict, *keys: str) -> dict:
+    """{field name: value} for each key that a flag or the config file sets,
+    the flag winning; unset keys are left to the dataclass defaults."""
+    values = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is not None:
+            values[_FIELD_OF.get(key, key)] = value
+    return values
 
 
 def _parse_split_counts(text: str) -> dict[str, int]:
@@ -82,24 +95,24 @@ def _parse_split_counts(text: str) -> dict[str, int]:
 
 
 def _encoder_config(args, config) -> EncoderConfig:
-    return EncoderConfig(
-        n_layers=_setting(args, config, "layers", 5),
-        feat_dim=_setting(args, config, "dim", 32),
-        seed=_setting(args, config, "encoder_seed", 0),
-    )
+    return EncoderConfig(**_settings(args, config, "layers", "dim", "encoder_seed"))
 
 
-def _add_common(parser):
+def _hyper(args, config) -> TrainHyper:
+    return TrainHyper(**_settings(args, config, "lr", "batch", "epochs", "seed", "k", "tau"))
+
+
+def _add_settings(parser, *keys: str) -> None:
+    """The --config flag plus one flag per setting key, typed as in _CONFIG_KEYS."""
     parser.add_argument("--config", help="key=value defaults file")
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_CONFIG_KEYS[key])
 
 
 def _cmd_synth(args, config) -> int:
-    splits = _setting(args, config, "splits", None)
+    splits = _settings(args, config, "splits").get("splits")
     cfg = CorpusConfig(
-        n_speakers=_setting(args, config, "n_speakers", 4),
-        clips_per_speaker=_setting(args, config, "clips_per_speaker", 10),
-        spoof_fraction=_setting(args, config, "spoof_fraction", 0.5),
-        seed=_setting(args, config, "seed", 0),
+        **_settings(args, config, "n_speakers", "clips_per_speaker", "spoof_fraction", "seed"),
         split_counts=_parse_split_counts(splits) if splits else None,
     )
     records, manifest_path = write_corpus(cfg, args.out)
@@ -123,7 +136,7 @@ def _cmd_extract(args, config) -> int:
     cfg = _encoder_config(args, config)
     if args.tuned_from:
         cfg = model.tuned_encoder_from_checkpoint(args.tuned_from, cfg)
-    tau = _setting(args, config, "tau", 10)
+    tau = _hyper(args, config).tau
     index = extract_and_cache(records, Path(args.manifest).parent, cfg, tau, args.cache)
     pipeline.write_run_manifest(
         args.cache,
@@ -167,7 +180,7 @@ def _cmd_retrieve(args, config) -> int:
     records = read_manifest(args.manifest)
     cache = CacheIndex.load(args.cache)
     store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
-    k = _setting(args, config, "k", 10)
+    k = _hyper(args, config).k_refs
     if args.utt:
         result = store.query_topk(cache.load_embedding(args.utt), k, exclude={args.utt})
         speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), "?")
@@ -188,8 +201,8 @@ def _cmd_retrieve(args, config) -> int:
         records,
         k=k,
         n_queries=args.queries,
-        seed=_setting(args, config, "seed", 0),
         query_split=args.split,
+        **_settings(args, config, "seed"),
     )
     out = Path(args.out) if args.out else Path(args.store) / "retrieval_report.csv"
     pipeline.write_retrieval_report(out, report)
@@ -200,17 +213,6 @@ def _cmd_retrieve(args, config) -> int:
         )
     print(f"report written to {out}")
     return 0
-
-
-def _hyper(args, config) -> TrainHyper:
-    return TrainHyper(
-        lr=_setting(args, config, "lr", 3e-4),
-        batch_size=_setting(args, config, "batch", 32),
-        epochs=_setting(args, config, "epochs", 30),
-        seed=_setting(args, config, "seed", 0),
-        k_refs=_setting(args, config, "k", 10),
-        tau=_setting(args, config, "tau", 10),
-    )
 
 
 def _cmd_train(args, config) -> int:
@@ -279,7 +281,7 @@ def _cmd_eval(args, config) -> int:
         encoder_cfg=encoder_cfg,
         store=store,
         cache=cache,
-        k_refs=getattr(args, "k", None),
+        k_refs=args.k,
     )
     metrics.write_scores(args.out, scores)
     result = metrics.pooled_eer(scores)
@@ -364,18 +366,8 @@ def gradient_check_suite() -> list[tuple[str, float, float]]:
 
     h = rng.standard_normal((5, 8))
     asp_params = nn.init_asp(8, rng)
-
-    def asp_fn(t, aw, ab, sw, sb):
-        return nn.asp(t, nn.AspParams(aw, ab, sw, sb))
-
-    asp_inputs = [
-        h,
-        asp_params.attn_w.data,
-        asp_params.attn_b.data,
-        asp_params.score_w.data,
-        asp_params.score_b.data,
-    ]
-    results.append(("asp", nn.grad_check(asp_fn, asp_inputs), 1e-5))
+    asp_inputs = [h, *asp_params.tensors("asp").values()]
+    results.append(("asp", nn.grad_check(lambda t, *_: nn.asp(t, asp_params), asp_inputs), 1e-5))
 
     feat = rng.standard_normal((2, 3, 5, 8))
     results.append(("mfa_forward", mfa_grad_check(feat, rng), 1e-4))
@@ -389,61 +381,45 @@ def gradient_check_suite() -> list[tuple[str, float, float]]:
 
 def mfa_grad_check(feat: np.ndarray, rng, max_coords=None) -> float:
     """End-to-end check of the fusion forward over input and parameters."""
-    n_layers, feat_dim = feat.shape[1], feat.shape[3]
-    template = model.init_mfa(n_layers, feat_dim, rng).tensors()
-    names = sorted(template)
-
-    def fn(feat_t, *param_ts):
-        params = model.mfa_from_tensors(n_layers, dict(zip(names, param_ts)))
-        return model.mfa_forward(feat_t, params)
-
-    arrays = [feat] + [template[n].data for n in names]
-    return nn.grad_check(fn, arrays, max_coords=max_coords)
+    params = model.init_mfa(feat.shape[1], feat.shape[3], rng)
+    inputs = [feat, *params.tensors().values()]
+    return nn.grad_check(
+        lambda feat_t, *_: model.mfa_forward(feat_t, params), inputs, max_coords=max_coords
+    )
 
 
 def radmfa_grad_check(queries, refs, rng, just_difference=False, max_coords=None) -> float:
     """End-to-end check of the batched forward that training and scoring
     run: queries (B, L, T, F), refs (B, K, L, T, F)."""
-    n_layers, feat_dim = queries.shape[1], queries.shape[3]
-    template = model.init_radmfa(n_layers, feat_dim, rng, just_difference).tensors()
-    names = sorted(template)
+    params = model.init_radmfa(queries.shape[1], queries.shape[3], rng, just_difference)
 
-    def fn(queries_t, refs_t, *param_ts):
-        tensors = dict(zip(names, param_ts))
-        params = model.radmfa_from_tensors(n_layers, tensors, just_difference)
+    def fn(queries_t, refs_t, *_):
         return model.radmfa_forward(queries_t, refs_t, params)
 
-    arrays = [queries, refs] + [template[n].data for n in names]
-    return nn.grad_check(fn, arrays, max_coords=max_coords)
+    inputs = [queries, refs, *params.tensors().values()]
+    return nn.grad_check(fn, inputs, max_coords=max_coords)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radspoof", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    encoder_keys = ("layers", "dim", "encoder_seed")
+    train_keys = ("lr", "batch", "epochs", "tau", "k", *encoder_keys)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
-    _add_common(p)
+    _add_settings(p, "seed", "n_speakers", "clips_per_speaker", "spoof_fraction", "splits")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-speakers", dest="n_speakers", type=int)
-    p.add_argument("--clips-per-speaker", dest="clips_per_speaker", type=int)
-    p.add_argument("--spoof-fraction", dest="spoof_fraction", type=float)
-    p.add_argument("--splits", help="e.g. train=400,dev=100,eval=200,retrieval_extra=100")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="cache short features and embeddings")
-    _add_common(p)
+    _add_settings(p, "tau", *encoder_keys)
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--encoder-seed", dest="encoder_seed", type=int)
     p.add_argument("--tuned-from", dest="tuned_from", help="baseline checkpoint")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("build-db", help="build per-layer retrieval stores")
-    _add_common(p)
+    _add_settings(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--store", required=True)
@@ -452,36 +428,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_db)
 
     p = sub.add_parser("retrieve", help="query the store and report consistency")
-    _add_common(p)
+    _add_settings(p, "k", "seed")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--utt", help="single query utterance id")
     p.add_argument("--queries", type=int, default=50)
     p.add_argument("--split", default="eval")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("train", help="train a detection model")
-    _add_common(p)
+    _add_settings(p, "seed", *train_keys)
     p.add_argument("--kind", required=True, choices=model.MODEL_KINDS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="model")
     p.add_argument("--cache")
     p.add_argument("--store")
-    for flag, cast in (
-        ("--seed", int), ("--lr", float), ("--batch", int), ("--epochs", int),
-        ("--tau", int), ("--k", int), ("--layers", int), ("--dim", int),
-        ("--encoder-seed", int),
-    ):
-        p.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"), type=cast)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a split and compute pooled EER")
-    _add_common(p)
+    _add_settings(p, "k")
     p.add_argument("--kind", required=True, choices=model.MODEL_KINDS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
@@ -490,23 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", help="optional DET operating-point CSV path")
     p.add_argument("--cache")
     p.add_argument("--store")
-    p.add_argument("--k", type=int)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the variant grid and compression sweep")
-    _add_common(p)
+    _add_settings(p, *train_keys)
     p.add_argument("--manifest", required=True)
     p.add_argument("--workdir", required=True)
     p.add_argument("--seeds", default="0,1,2")
-    for flag, cast in (
-        ("--lr", float), ("--batch", int), ("--epochs", int), ("--tau", int),
-        ("--k", int), ("--layers", int), ("--dim", int), ("--encoder-seed", int),
-    ):
-        p.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"), type=cast)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -9,6 +9,7 @@ source through one artifact transform:
     envelope_smooth  moving-average of the magnitude spectrum
     quantize8        8-bit amplitude quantization
 
+A segment is an ``AudioClip`` cut or repeat-padded to exactly 4 s.
 Everything is a pure function of (config, seed): the same config produces
 byte-identical sample streams.
 """
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
 
+from .atomic import write_text
 from .errors import (
     AudioNotFoundError, ConfigurationError, FormatError, InvalidInputError, ManifestParseError,
     ValidationError,
@@ -39,6 +41,7 @@ SPLITS = ("train", "dev", "eval", "retrieval_extra")
 
 _TARGET_RMS = 0.1
 _NOISE_DB = -45.0
+DURATION_RANGE = (2.5, 6.0)  # seconds, uniform per clip before segmentation
 
 
 @dataclass
@@ -64,20 +67,6 @@ class AudioClip:
 
 
 @dataclass
-class AudioSegment(AudioClip):
-    """Exactly 4 seconds (64000 samples) cut or repeat-padded from a clip."""
-
-    origin_utt: str = ""
-
-    def validate(self) -> None:
-        super().validate()
-        if len(self.samples) != SEGMENT_SAMPLES:
-            raise InvalidInputError(
-                f"{self.utt_id}: segment has {len(self.samples)} samples, need {SEGMENT_SAMPLES}"
-            )
-
-
-@dataclass
 class ManifestRecord:
     utt_id: str
     speaker_id: str
@@ -89,15 +78,14 @@ class ManifestRecord:
 
 @dataclass
 class CorpusConfig:
-    n_speakers: int
-    clips_per_speaker: int
-    spoof_fraction: float
-    seed: int
+    n_speakers: int = 4
+    clips_per_speaker: int = 10
+    spoof_fraction: float = 0.5
+    seed: int = 0
     spoof_methods: tuple[str, ...] = SPOOF_METHODS
     # None puts every clip in "train". Counts must sum to the corpus size;
     # retrieval_extra clips are always bonafide.
     split_counts: dict[str, int] | None = None
-    duration_range: tuple[float, float] = (2.5, 6.0)
 
     def validate(self) -> None:
         if self.n_speakers < 2:
@@ -252,7 +240,7 @@ def _assign_plan(cfg: CorpusConfig) -> list[tuple[int, int, str, str, str | None
 def synthesize_corpus(cfg: CorpusConfig) -> tuple[list[AudioClip], list[ManifestRecord]]:
     """Generate the corpus in memory; audio paths are wav/<utt_id>.wav."""
     cfg.validate()
-    lo, hi = cfg.duration_range
+    lo, hi = DURATION_RANGE
     clips: list[AudioClip] = []
     records: list[ManifestRecord] = []
     profiles = [_speaker_profile(cfg.seed, s) for s in range(cfg.n_speakers)]
@@ -274,7 +262,7 @@ def synthesize_corpus(cfg: CorpusConfig) -> tuple[list[AudioClip], list[Manifest
     return clips, records
 
 
-def segment_clip(clip: AudioClip) -> AudioSegment:
+def segment_clip(clip: AudioClip) -> AudioClip:
     """Cut to the first 4 s, or repeat the clip end-to-end up to 4 s."""
     n = len(clip.samples)
     if n == 0:
@@ -284,14 +272,7 @@ def segment_clip(clip: AudioClip) -> AudioSegment:
     else:
         reps = -(-SEGMENT_SAMPLES // n)
         samples = np.tile(clip.samples, reps)[:SEGMENT_SAMPLES]
-    return AudioSegment(
-        utt_id=clip.utt_id,
-        speaker_id=clip.speaker_id,
-        label=clip.label,
-        spoof_method=clip.spoof_method,
-        samples=np.ascontiguousarray(samples, dtype=np.float32),
-        origin_utt=clip.utt_id,
-    )
+    return replace(clip, samples=np.ascontiguousarray(samples, dtype=np.float32))
 
 
 def write_wav(path, samples: np.ndarray) -> None:
@@ -348,7 +329,7 @@ def write_manifest(path, records: list[ManifestRecord]) -> None:
                 (r.utt_id, r.speaker_id, r.label, r.spoof_method or "-", r.audio_path, r.split)
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_text_file(path) -> str:
@@ -373,6 +354,9 @@ def read_manifest(path) -> list[ManifestRecord]:
         if len(fields) != 6:
             raise ManifestParseError(path, line_no, f"expected 6 fields, got {len(fields)}")
         utt_id, speaker_id, label, method, audio_path, split = fields
+        # the cache names files after utt_ids, so one must be a plain file name
+        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id or "\0" in utt_id:
+            raise ManifestParseError(path, line_no, f"utt_id {utt_id!r} is not a file name")
         if label not in (LABEL_BONAFIDE, LABEL_SPOOF):
             raise ManifestParseError(path, line_no, f"unknown label {label!r}")
         if split not in SPLITS:
@@ -387,7 +371,7 @@ def read_manifest(path) -> list[ManifestRecord]:
     return records
 
 
-def load_segment(manifest_dir, record: ManifestRecord) -> AudioSegment:
+def load_segment(manifest_dir, record: ManifestRecord) -> AudioClip:
     """Read a record's WAV (relative paths resolve against the manifest dir)."""
     audio_path = Path(record.audio_path)
     if not audio_path.is_absolute():

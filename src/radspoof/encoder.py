@@ -6,7 +6,8 @@ orthogonal mix followed by tanh, giving progressively more abstract
 features. Every layer ends in a per-layer scale and shift, the identity
 unless the config sets them ("tuned"): the baseline tunes them end to end,
 and the frozen tuned stack feeds both the retrieval stores and the
-classifier.
+classifier. ``cascade`` is the one implementation of this stack: extraction
+runs it over arrays, and the baseline over its parameter Tensors.
 
 Features are plain float32 arrays. Two reductions operate on the (L, T', F)
 long feature:
@@ -28,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, radf
+from .atomic import write_text
 from .corpus import (
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
-    AudioSegment,
+    AudioClip,
     ManifestRecord,
     load_segment,
 )
@@ -144,21 +146,26 @@ def layer_mixer(seed: int, layer: int, dim: int) -> np.ndarray:
     return _mixer_cache[key]
 
 
-def encode_long(segment: AudioSegment, cfg: EncoderConfig) -> np.ndarray:
+def cascade(mels, scales, shifts, cfg: EncoderConfig) -> nn.Tensor:
+    """The encoder stack over log-mel frames: (..., T', F) -> (..., L, T', F).
+
+    Row l of `scales` and `shifts` is layer l's affine; rows may be arrays
+    (extraction) or parameter Tensors (the baseline tunes them end to end).
+    """
+    layers = [nn.add(nn.mul(mels, scales[0]), shifts[0])]
+    for l in range(1, cfg.n_layers):
+        mixed = nn.tanh(nn.affine(layers[-1], layer_mixer(cfg.seed, l, cfg.feat_dim).T))
+        layers.append(nn.add(nn.mul(mixed, scales[l]), shifts[l]))
+    return nn.stack(layers, axis=-3)
+
+
+def encode_long(segment: AudioClip, cfg: EncoderConfig) -> np.ndarray:
     """Full per-layer feature stack for one 4 s segment, (L, T', F) float32."""
     cfg.validate()
     if len(segment.samples) != SEGMENT_SAMPLES:
         raise InvalidInputError(f"{segment.utt_id}: segment must have {SEGMENT_SAMPLES} samples")
-    scales, shifts = cfg.scale_arrays()
-    h = mel_frames(segment.samples, cfg.feat_dim)
-    h = h * scales[0][None, :] + shifts[0][None, :]
-    layers = [h]
-    for l in range(1, cfg.n_layers):
-        mixer = layer_mixer(cfg.seed, l, cfg.feat_dim)
-        h = np.tanh(h @ mixer.T)
-        h = h * scales[l][None, :] + shifts[l][None, :]
-        layers.append(h)
-    return np.stack(layers, axis=0).astype(np.float32)
+    mels = mel_frames(segment.samples, cfg.feat_dim)
+    return cascade(mels, *cfg.scale_arrays(), cfg).data.astype(np.float32)
 
 
 def temporal_embed(long_feature: np.ndarray) -> np.ndarray:
@@ -255,9 +262,9 @@ class CacheIndex:
             f"fingerprint={self.fingerprint}\ntau={self.tau}\n"
             f"n_layers={self.n_layers}\nfeat_dim={self.feat_dim}\n"
         )
-        (self.root / "meta.txt").write_text(meta, encoding="utf-8")
+        write_text(self.root / "meta.txt", meta)
         lines = [f"{utt}\t{s}\t{e}" for utt, (s, e) in sorted(self.entries.items())]
-        (self.root / "index.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(self.root / "index.tsv", "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, root) -> "CacheIndex":

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import write_text
 from .corpus import LABEL_BONAFIDE, LABEL_SPOOF, read_text_file
 from .errors import InvalidInputError, ManifestParseError, MetricUndefinedError
 
@@ -78,7 +79,7 @@ def write_scores(path, records: list[ScoreRecord]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{r.utt_id}\t{r.score:.9g}\t{r.label}" for r in records]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_scores(path) -> list[ScoreRecord]:
@@ -108,4 +109,4 @@ def write_det_csv(path, records: list[ScoreRecord]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = ["threshold,far,frr"]
     rows += [f"{t:.9g},{far:.9g},{frr:.9g}" for t, far, frr in det_points(records)]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(rows) + "\n")

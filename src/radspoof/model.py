@@ -34,8 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .atomic import write_text
 from .corpus import LABEL_BONAFIDE, ManifestRecord, load_segment
-from .encoder import CacheIndex, EncoderConfig, encoder_fingerprint, layer_mixer, mel_frames
+from .encoder import CacheIndex, EncoderConfig, cascade, encoder_fingerprint, mel_frames
 from .errors import (
     ConfigurationError, FeatureLoadError, FormatError, IncompatibilityError, InvalidInputError
 )
@@ -46,6 +47,8 @@ CLASS_SPOOF = 0
 CLASS_BONAFIDE = 1
 
 MODEL_KINDS = ("baseline", "radmfa", "just_difference")
+
+SCORE_BATCH = 32  # rows per scoring forward
 
 
 # --- parameter containers ---------------------------------------------------
@@ -109,41 +112,6 @@ class RadMfaParams:
         out["head_w"] = self.head_w
         out["head_b"] = self.head_b
         return out
-
-
-def _asp_from_tensors(tensors: dict[str, nn.Tensor], prefix: str) -> nn.AspParams:
-    return nn.AspParams(
-        attn_w=tensors[f"{prefix}.attn_w"],
-        attn_b=tensors[f"{prefix}.attn_b"],
-        score_w=tensors[f"{prefix}.score_w"],
-        score_b=tensors[f"{prefix}.score_b"],
-    )
-
-
-def mfa_from_tensors(
-    n_layers: int, tensors: dict[str, nn.Tensor], prefix: str = "mfa"
-) -> MfaParams:
-    """Rebuild an MfaParams container around existing tensors (see tensors())."""
-    return MfaParams(
-        time_pools=[
-            _asp_from_tensors(tensors, f"{prefix}.time_pool.{l}") for l in range(n_layers)
-        ],
-        merge_w=tensors[f"{prefix}.merge_w"],
-        merge_b=tensors[f"{prefix}.merge_b"],
-        layer_pool=_asp_from_tensors(tensors, f"{prefix}.layer_pool"),
-    )
-
-
-def radmfa_from_tensors(
-    n_layers: int, tensors: dict[str, nn.Tensor], just_difference: bool = False
-) -> RadMfaParams:
-    return RadMfaParams(
-        mfa=mfa_from_tensors(n_layers, tensors),
-        sample_pool=_asp_from_tensors(tensors, "sample_pool"),
-        head_w=tensors["head_w"],
-        head_b=tensors["head_b"],
-        just_difference=just_difference,
-    )
 
 
 def init_mfa(n_layers: int, feat_dim: int, rng: np.random.Generator) -> MfaParams:
@@ -237,26 +205,11 @@ def radmfa_forward(queries, refs, params: RadMfaParams) -> nn.Tensor:
     return nn.affine(head_in, params.head_w, params.head_b)
 
 
-def encoder_cascade(
-    mels: np.ndarray, params: BaselineParams, encoder_cfg: EncoderConfig
-) -> nn.Tensor:
-    """Differentiable cascade from batched log-mel (B, T', F) to (B, L, T', F)."""
-    h = nn.constant(mels)
-    h = nn.add(nn.mul(h, params.scales[0]), params.shifts[0])
-    layers = [h]
-    for l in range(1, encoder_cfg.n_layers):
-        mixer = nn.constant(layer_mixer(encoder_cfg.seed, l, encoder_cfg.feat_dim).T)
-        h = nn.tanh(nn.affine(layers[-1], mixer))
-        h = nn.add(nn.mul(h, params.scales[l]), params.shifts[l])
-        layers.append(h)
-    return nn.stack(layers, axis=1)
-
-
 def baseline_forward(
     mels: np.ndarray, params: BaselineParams, encoder_cfg: EncoderConfig, tau: int
 ) -> nn.Tensor:
     """Log-mel (B, T', F) -> logits (B, 2) through the trainable encoder stack."""
-    stack = encoder_cascade(mels, params, encoder_cfg)
+    stack = cascade(mels, params.scales, params.shifts, encoder_cfg)  # (B, L, T', F)
     short = nn.block_mean(stack, tau, axis=2)
     repr_ = mfa_forward(short, params.mfa)
     return nn.affine(repr_, params.head_w, params.head_b)
@@ -459,7 +412,7 @@ def train_model(
     checkpoint_path = out_dir / f"{run_name}.ckpt"
     nn.save_checkpoint(checkpoint_path, best_arrays, meta)
     log_path = out_dir / f"{run_name}.log"
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_text(log_path, "\n".join(log_lines) + "\n")
     return TrainResult(
         checkpoint_path=checkpoint_path,
         log_path=log_path,
@@ -507,7 +460,6 @@ def score_dataset(
     cache: CacheIndex | None = None,
     k_refs: int | None = None,
     tau: int | None = None,
-    batch_size: int = 32,
 ) -> list[ScoreRecord]:
     """Score records with a trained checkpoint; deterministic. `k_refs` and
     `tau` default to the checkpoint's."""
@@ -542,4 +494,4 @@ def score_dataset(
     runner.param_set.load_arrays(arrays)
     if not records:
         raise InvalidInputError("no records to score")
-    return _scores(runner, records, batch_size)
+    return _scores(runner, records, SCORE_BATCH)

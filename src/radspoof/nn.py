@@ -20,6 +20,7 @@ from . import radf
 from .errors import CheckpointNotFoundError, FormatError, GradCheckError, InvalidInputError
 
 ASP_EPS = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -123,11 +124,6 @@ def mul(a, b) -> Tensor:
             (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
         ),
     )
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor(a.data * c, _vjps=((a, lambda g: g * c),))
 
 
 def tanh(a) -> Tensor:
@@ -279,7 +275,6 @@ class AspParams:
     attn_b: Tensor  # (A,)
     score_w: Tensor  # (A, 1)
     score_b: Tensor  # (1,)
-    eps: float = ASP_EPS
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {
@@ -295,8 +290,8 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_asp(in_dim: int, rng: np.random.Generator, attn_dim: int | None = None) -> AspParams:
-    attn_dim = max(1, in_dim // 2) if attn_dim is None else attn_dim
+def init_asp(in_dim: int, rng: np.random.Generator) -> AspParams:
+    attn_dim = max(1, in_dim // 2)
     return AspParams(
         attn_w=parameter(glorot(rng, in_dim, attn_dim)),
         attn_b=parameter(np.zeros(attn_dim)),
@@ -316,7 +311,7 @@ def asp(h, params: AspParams) -> Tensor:
     weights_col = reshape(weights, weights.data.shape + (1,))
     mean = sum_axis(mul(weights_col, h), axis=-2)
     second = sum_axis(mul(weights_col, mul(h, h)), axis=-2)
-    std = sqrt(add(sub(second, mul(mean, mean)), params.eps))
+    std = sqrt(add(sub(second, mul(mean, mean)), ASP_EPS))
     return concat([mean, std], axis=-1)
 
 
@@ -372,67 +367,71 @@ class ParamSet:
                 raise InvalidInputError(f"{name}: shape {value.shape} != {tensor.data.shape}")
             tensor.data = value.copy()
 
-    def adam_step(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8, grads=None) -> None:
+    def adam_step(self, lr: float) -> None:
+        """One Adam update of every tensor from its .grad (None counts as zero)."""
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name in self.names():
             tensor = self.tensors[name]
-            grad = grads[name] if grads is not None else tensor.grad
-            if grad is None:
-                grad = np.zeros_like(tensor.data)
+            grad = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad
             grad = np.asarray(grad, dtype=np.float64).reshape(tensor.data.shape)
             self._steps[name] += 1
             t = self._steps[name]
-            m = self._moment1[name] = beta1 * self._moment1[name] + (1 - beta1) * grad
-            v = self._moment2[name] = beta2 * self._moment2[name] + (1 - beta2) * grad**2
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            m = self._moment1[name] = b1 * self._moment1[name] + (1 - b1) * grad
+            v = self._moment2[name] = b2 * self._moment2[name] + (1 - b2) * grad**2
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def grad_check(fn, inputs, step: float = 1e-5, seed: int = 0, max_coords: int | None = None):
     """Max relative error between reverse-mode and central-difference grads.
 
-    fn maps Tensors to one output Tensor. A fixed random cotangent turns a
-    non-scalar output into the scalar sum(u * fn(x)); each probed input
-    coordinate is then perturbed by +-step. Error per coordinate is
-    |a - n| / max(1, |a|, |n|).
+    fn maps Tensors to one output Tensor. Each array input becomes a fresh
+    leaf once, a copy, so the caller's array is never written; a leaf Tensor
+    (such as a model's own parameter) is used as it is. A fixed random
+    cotangent turns a non-scalar output into the scalar sum(u * fn(x)). Each
+    probed coordinate is perturbed in place by +-step and then restored to
+    its exact value. Error per coordinate is |a - n| / max(1, |a|, |n|).
     """
-    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    leaves = [x if isinstance(x, Tensor) else parameter(x) for x in inputs]
 
-    def run(arrays):
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        out = fn(*tensors)
+    def run() -> Tensor:
+        out = fn(*leaves)
         if not np.all(np.isfinite(out.data)):
             raise GradCheckError("non-finite output during grad check")
-        return tensors, out
+        return out
 
-    tensors, out = run(inputs)
+    out = run()
     rng = np.random.default_rng(seed)
     cot = rng.standard_normal(out.data.shape) if out.data.size > 1 else np.ones(out.data.shape)
+    for leaf in leaves:
+        leaf.grad = None
     out.backward(cot)
-    analytic = [
-        t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors
-    ]
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
     for i, g in enumerate(analytic):
         if not np.all(np.isfinite(g)):
             raise GradCheckError(f"non-finite analytic gradient for input {i}")
 
-    def scalar_at(arrays):
-        _, value = run(arrays)
-        return float((cot * value.data).sum())
+    def scalar_at() -> float:
+        return float((cot * run().data).sum())
 
     worst = 0.0
-    for i, base in enumerate(inputs):
-        flat_coords = np.arange(base.size)
-        if max_coords is not None and base.size > max_coords:
-            flat_coords = rng.choice(base.size, size=max_coords, replace=False)
+    for leaf, grad in zip(leaves, analytic):
+        flat_coords = np.arange(leaf.data.size)
+        if max_coords is not None and leaf.data.size > max_coords:
+            flat_coords = rng.choice(leaf.data.size, size=max_coords, replace=False)
+        values = leaf.data.flat
         for j in flat_coords:
-            probe = [a.copy() for a in inputs]
-            probe[i].flat[j] += step
-            plus = scalar_at(probe)
-            probe[i].flat[j] -= 2 * step
-            minus = scalar_at(probe)
+            original = values[j]
+            try:
+                values[j] += step
+                plus = scalar_at()
+                values[j] -= 2 * step
+                minus = scalar_at()
+            finally:
+                values[j] = original
             numeric = (plus - minus) / (2 * step)
-            a = float(analytic[i].flat[j])
+            a = float(grad.flat[j])
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)
     return worst

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, model, vecstore
+from .atomic import write_text
 from .corpus import LABEL_BONAFIDE, ManifestRecord
 from .encoder import CacheIndex, EncoderConfig, extract_and_cache
 from .model import TrainHyper
@@ -49,9 +50,9 @@ def write_run_manifest(out_dir, items: dict) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(items)
-    (out_dir / "config_hash.txt").write_text(digest + "\n", encoding="utf-8")
+    write_text(out_dir / "config_hash.txt", digest + "\n")
     lines = [f"{k}={items[k]}" for k in sorted(items)] + [f"config_hash={digest}"]
-    (out_dir / "run_manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out_dir / "run_manifest.txt", "\n".join(lines) + "\n")
 
 
 def _score_and_write(scores, path) -> float:
@@ -217,10 +218,10 @@ def ablation_grid(
 
     lines = ["variant,seed,pooled_eer"]
     lines += [f"{v},{s},{e:.9g}" for v, s, e in ablation_rows]
-    (workdir / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(workdir / "ablation.csv", "\n".join(lines) + "\n")
     lines = ["tau,seed,pooled_eer"]
     lines += [f"{t},{s},{e:.9g}" for t, s, e in sweep_rows]
-    (workdir / "tau_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(workdir / "tau_sweep.csv", "\n".join(lines) + "\n")
     return ablation_rows, sweep_rows
 
 
@@ -307,4 +308,4 @@ def write_retrieval_report(path, report: RetrievalReport) -> None:
         zip(report.per_layer_median, report.per_layer_mean_similarity)
     ):
         lines.append(f"{layer},{med:.9g},{sim:.9g},{report.chance_rate:.9g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

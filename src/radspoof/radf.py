@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import FormatError, InvalidInputError
 
 MAGIC = b"RADF"
@@ -108,7 +109,8 @@ def read_feature(path) -> tuple[int, np.ndarray]:
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-    """Write named tensors as float32 payloads under a RADP text header."""
+    """Write named tensors as float32 payloads under a RADP text header; the
+    file is renamed into place whole, so ``path`` never holds part of it."""
     texts = [*meta, *meta.values(), *tensors]
     if any("\n" in text for text in texts) or any(" " in key for key in meta):
         raise InvalidInputError("tensor names and meta must be single-line, meta keys unspaced")
@@ -118,7 +120,7 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) ->
         dims = ",".join(str(d) for d in np.shape(tensors[name]))
         lines.append(f"tensor {name} {dims or 'scalar'}")
     lines.append("end")
-    with open(path, "wb") as file:
+    with replacing(path) as file:
         file.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in names:
             _write_payload(file, tensors[name])

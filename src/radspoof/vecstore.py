@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .corpus import LABEL_BONAFIDE, ManifestRecord
 from .encoder import CacheIndex
 from .errors import (
@@ -63,13 +64,10 @@ class StoreSet:
     utt_ids: list[str]
     speaker_ids: list[str]
     vectors: list[np.ndarray]  # per layer, (N, F) float32
-    _norms: list[np.ndarray] = field(default_factory=list, repr=False)
+    _norms: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._norms:
-            self._norms = [
-                np.linalg.norm(v.astype(np.float64), axis=1) for v in self.vectors
-            ]
+        self._norms = [np.linalg.norm(v.astype(np.float64), axis=1) for v in self.vectors]
         for layer, norms in enumerate(self._norms):
             bad = np.flatnonzero(~np.isfinite(norms))  # finite iff the float32 row is
             if bad.size:
@@ -198,9 +196,7 @@ def persist_stores(store: StoreSet, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = enumerate(zip(store.utt_ids, store.speaker_ids))
-    (directory / "records.tsv").write_text(
-        "".join(f"{i}\t{u}\t{s}\n" for i, (u, s) in rows), encoding="utf-8"
-    )
+    write_text(directory / "records.tsv", "".join(f"{i}\t{u}\t{s}\n" for i, (u, s) in rows))
     meta = {key: str(getattr(store, key)) for key in ("fingerprint", "tau", "n_layers", "feat_dim")}
     layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(store.vectors)}
     write_tensors(directory / BUNDLE_NAME, layers, meta)

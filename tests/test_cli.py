@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from radspoof import model, nn, radf
-from radspoof.cli import main
+from radspoof.cli import _encoder_config, _hyper, build_parser, main
 from radspoof.corpus import ManifestRecord, write_manifest, write_wav
-from radspoof.encoder import CacheIndex
+from radspoof.encoder import CacheIndex, EncoderConfig
+from radspoof.model import TrainHyper
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +403,8 @@ def _build_db(tmp, manifest):
     [
         lambda tmp, manifest: ["gradcheck", "--config", str(tmp / "missing.cfg")],
         lambda tmp, manifest: ["gradcheck", "--config", str(_write(tmp / "c.cfg", b"seed=abc\n"))],
+        lambda tmp, manifest: ["synth", "--out", str(tmp / "c"), "--config",
+                               str(_write(tmp / "c.cfg", b"\xff\n"))],
         lambda tmp, manifest: ["synth", "--out", str(tmp / "corpus"), "--splits", "train"],
         lambda tmp, manifest: [
             "ablate", "--manifest", str(manifest), "--workdir", str(tmp / "w"), "--seeds", "0,a",
@@ -410,7 +413,8 @@ def _build_db(tmp, manifest):
         lambda tmp, manifest: _build_db(tmp, _write(tmp / "m.tsv", b"u0\tspk\xff\n")),
     ],
     ids=[
-        "missing_config", "non_integer_config_value", "splits_without_count", "bad_seeds",
+        "missing_config", "non_integer_config_value", "non_utf8_config",
+        "splits_without_count", "bad_seeds",
         "missing_manifest", "non_utf8_manifest",
     ],
 )
@@ -429,3 +433,43 @@ def test_bad_config_key_fails(workspace, tmp_path):
         "--store", str(store_dir), "--config", str(config),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("utt_id", ["a/b", "../../../escaped"])
+def test_extract_path_like_utt_id_fails_with_error_line(tmp_path, capsys, utt_id):
+    root = tmp_path / "deep" / "er" / "run"
+    noise = np.random.default_rng(0).uniform(-0.1, 0.1, 16000).astype(np.float32)
+    write_wav(root / "wav" / "u0.wav", noise)
+    manifest = root / "manifest.tsv"
+    manifest.write_text(f"{utt_id}\tspk0\tbonafide\t-\twav/u0.wav\ttrain\n")
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = main([
+        "extract", "--manifest", str(manifest), "--cache", str(root / "cache"),
+        "--tau", "10", "--layers", "3", "--dim", "16",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    cache = root / "cache"
+    assert {p for p in tmp_path.rglob("*") if p != cache and cache not in p.parents} == before
+
+
+def test_unset_settings_take_the_dataclass_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["ablate", "--manifest", "m", "--workdir", "w"])
+    assert _hyper(args, {}) == TrainHyper()
+    assert _encoder_config(args, {}) == EncoderConfig()
+    args = parser.parse_args(
+        ["ablate", "--manifest", "m", "--workdir", "w", "--k", "5", "--dim", "16"]
+    )
+    config = {"layers": 3, "k": 4, "batch": 8, "encoder_seed": 2, "lr": 0.5}
+    assert _hyper(args, config) == TrainHyper(k_refs=5, batch_size=8, lr=0.5)
+    assert _encoder_config(args, config) == EncoderConfig(n_layers=3, feat_dim=16, seed=2)
+
+
+def test_synth_without_settings_uses_the_corpus_defaults(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "c")]) == 0
+    manifest = (tmp_path / "c" / "run_manifest.txt").read_text().splitlines()
+    for line in ("n_speakers=4", "clips_per_speaker=10", "spoof_fraction=0.5", "seed=0"):
+        assert line in manifest
+    assert len((tmp_path / "c" / "manifest.tsv").read_text().splitlines()) == 40

@@ -199,6 +199,15 @@ def test_manifest_five_fields_is_parse_error(tmp_path):
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize("utt_id", ["", ".", "..", "a/b", "../up", "a\\b", "a\0b"])
+def test_manifest_utt_id_that_is_not_a_file_name_is_parse_error(tmp_path, utt_id):
+    path = tmp_path / "m.tsv"
+    lines = ["u1\tspk\tbonafide\t-\twav/u1.wav\ttrain", f"{utt_id}\tspk\tbonafide\t-\tw.wav\ttrain"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestParseError, match=":2:"):
+        read_manifest(path)
+
+
 def test_manifest_duplicate_id_rejected(tmp_path):
     records = [
         ManifestRecord("u1", "spk", "bonafide", None, "wav/u1.wav", "train"),

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from radspoof import encoder, radf
+from radspoof import encoder, nn, radf
 from radspoof.corpus import CorpusConfig, segment_clip, synthesize_corpus, write_corpus
 from radspoof.encoder import (
     CacheIndex,
@@ -53,6 +53,45 @@ def test_encode_long_shape_and_determinism():
     assert a.shape == (3, 199, 16)
     assert a.dtype == np.float32
     assert np.array_equal(a, b)
+
+
+def numpy_cascade(samples, cfg):
+    """The encoder cascade written directly in numpy, an oracle for encode_long."""
+    scales, shifts = cfg.scale_arrays()
+    h = mel_frames(samples, cfg.feat_dim)
+    h = h * scales[0][None, :] + shifts[0][None, :]
+    layers = [h]
+    for l in range(1, cfg.n_layers):
+        h = np.tanh(h @ layer_mixer(cfg.seed, l, cfg.feat_dim).T)
+        h = h * scales[l][None, :] + shifts[l][None, :]
+        layers.append(h)
+    return np.stack(layers, axis=0).astype(np.float32)
+
+
+def test_encode_long_equals_numpy_cascade_byte_for_byte():
+    segment = one_segment()
+    rng = np.random.default_rng(21)
+    tuned = tiny_cfg().with_tuning(rng.uniform(0.5, 1.5, (3, 16)), rng.normal(0, 0.3, (3, 16)))
+    for cfg in (tiny_cfg(), tuned):
+        assert encode_long(segment, cfg).tobytes() == numpy_cascade(segment.samples, cfg).tobytes()
+
+
+def test_cascade_takes_parameter_rows_and_batches():
+    segment = one_segment()
+    rng = np.random.default_rng(22)
+    cfg = tiny_cfg().with_tuning(rng.uniform(0.5, 1.5, (3, 16)), rng.normal(0, 0.3, (3, 16)))
+    scales, shifts = cfg.scale_arrays()
+    mels = mel_frames(segment.samples, 16)
+    from_arrays = encoder.cascade(mels, scales, shifts, cfg)
+    from_params = encoder.cascade(
+        mels, [nn.parameter(r) for r in scales], [nn.parameter(r) for r in shifts], cfg
+    )
+    assert from_arrays.shape == (3, 199, 16) and not from_arrays.requires_grad
+    assert from_params.requires_grad
+    assert np.array_equal(from_params.data, from_arrays.data)
+    batched = encoder.cascade(np.stack([mels, mels[::-1]]), scales, shifts, cfg)
+    assert batched.shape == (2, 3, 199, 16)
+    assert np.allclose(batched.data[0], from_arrays.data, rtol=0, atol=1e-12)
 
 
 def test_all_zero_segment_gives_constant_layers():

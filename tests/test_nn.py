@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radspoof import nn
-from radspoof.errors import CheckpointNotFoundError, FormatError, InvalidInputError
+from radspoof.errors import CheckpointNotFoundError, FormatError, GradCheckError, InvalidInputError
 
 
 # --- primitive forwards ---------------------------------------------------------
@@ -214,6 +214,32 @@ def test_grad_check_detects_corrupted_gradient():
     assert err > 1e-2
 
 
+def test_grad_check_leaves_arrays_and_leaf_tensors_unchanged():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 4))
+    w = nn.parameter(rng.standard_normal((4, 2)))
+    x_bytes, w_bytes = x.tobytes(), w.data.tobytes()
+    assert nn.grad_check(lambda a, b: nn.affine(nn.tanh(a), b), [x, w]) < 1e-6
+    assert x.tobytes() == x_bytes
+    assert w.data.tobytes() == w_bytes
+
+
+def test_grad_check_restores_a_leaf_when_fn_raises_mid_probe():
+    w = nn.parameter(np.random.default_rng(15).standard_normal(5))
+    w_bytes = w.data.tobytes()
+    calls = []
+
+    def fn(a):
+        calls.append(1)
+        if len(calls) == 3:  # the first probe's minus side
+            raise GradCheckError("boom")
+        return nn.tanh(a)
+
+    with pytest.raises(GradCheckError):
+        nn.grad_check(fn, [w])
+    assert w.data.tobytes() == w_bytes
+
+
 def test_block_mean_ragged_gradient():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((2, 7, 3))
@@ -227,7 +253,8 @@ def test_block_mean_ragged_gradient():
 def test_adam_zero_gradient_keeps_params():
     p = nn.parameter(np.array([1.0, -2.0]))
     ps = nn.ParamSet({"p": p})
-    ps.adam_step(lr=0.1, grads={"p": np.zeros(2)})
+    p.grad = np.zeros(2)
+    ps.adam_step(lr=0.1)
     assert np.allclose(p.data, [1.0, -2.0])
 
 
@@ -235,7 +262,8 @@ def test_adam_single_step_hand_value():
     # m_hat = 1, v_hat = 1 after one step at g=1, so the step is lr/(1+eps)
     p = nn.parameter(np.array([0.0]))
     ps = nn.ParamSet({"p": p})
-    ps.adam_step(lr=0.1, grads={"p": np.array([1.0])})
+    p.grad = np.array([1.0])
+    ps.adam_step(lr=0.1)
     assert abs(p.data[0] + 0.1) < 1e-8
     assert abs(p.data[0] + 0.1 / (1.0 + 1e-8)) < 1e-15
 
@@ -248,7 +276,8 @@ def test_adam_two_runs_identical():
         p = nn.parameter(np.zeros(4))
         ps = nn.ParamSet({"p": p})
         for g in grads:
-            ps.adam_step(lr=1e-2, grads={"p": g})
+            p.grad = g
+            ps.adam_step(lr=1e-2)
         return p.data.copy()
 
     assert np.array_equal(run(), run())
