@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import metrics, model, nn, pipeline, vecstore
 from .corpus import CorpusConfig, read_manifest, write_corpus
 from .encoder import CacheIndex, EncoderConfig, extract_and_cache
-from .errors import ConfigurationError, RadspoofError
+from .errors import ConfigurationError, IncompatibilityError, RadspoofError
 from .model import TrainHyper
 
 _CONFIG_KEYS = {
@@ -39,10 +38,18 @@ _CONFIG_KEYS = {
     "encoder_seed": int,
 }
 
-# the config keys whose dataclass field has another name
+# the settings whose dataclass field or parameter has another name
 _FIELD_OF = dict(
-    layers="n_layers", dim="feat_dim", encoder_seed="seed", batch="batch_size", k="k_refs"
+    layers="n_layers",
+    dim="feat_dim",
+    encoder_seed="seed",
+    batch="batch_size",
+    k="k_refs",
+    queries="n_queries",
+    split="query_split",
+    name="run_name",
 )
+_ENCODER_KEYS = ("layers", "dim", "encoder_seed")
 
 
 def _read_config_file(path) -> dict:
@@ -95,7 +102,13 @@ def _parse_split_counts(text: str) -> dict[str, int]:
 
 
 def _encoder_config(args, config) -> EncoderConfig:
-    return EncoderConfig(**_settings(args, config, "layers", "dim", "encoder_seed"))
+    return EncoderConfig(**_settings(args, config, *_ENCODER_KEYS))
+
+
+def _retrieval_inputs(args) -> tuple[CacheIndex, vecstore.StoreSet]:
+    """The cache at --cache and the store at --store, checked against its fingerprint."""
+    cache = CacheIndex.load(args.cache)
+    return cache, vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
 
 
 def _hyper(args, config) -> TrainHyper:
@@ -135,7 +148,12 @@ def _cmd_extract(args, config) -> int:
     records = read_manifest(args.manifest)
     cfg = _encoder_config(args, config)
     if args.tuned_from:
-        cfg = model.tuned_encoder_from_checkpoint(args.tuned_from, cfg)
+        cfg = model.tuned_encoder_from_checkpoint(args.tuned_from)
+        for field, value in _settings(args, config, *_ENCODER_KEYS).items():
+            if getattr(cfg, field) != value:
+                raise IncompatibilityError(
+                    f"{args.tuned_from} records encoder {field}={getattr(cfg, field)}, not {value}"
+                )
     tau = _hyper(args, config).tau
     index = extract_and_cache(records, Path(args.manifest).parent, cfg, tau, args.cache)
     pipeline.write_run_manifest(
@@ -178,8 +196,7 @@ def _cmd_build_db(args, config) -> int:
 
 def _cmd_retrieve(args, config) -> int:
     records = read_manifest(args.manifest)
-    cache = CacheIndex.load(args.cache)
-    store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
+    cache, store = _retrieval_inputs(args)
     k = _hyper(args, config).k_refs
     if args.utt:
         result = store.query_topk(cache.load_embedding(args.utt), k, exclude={args.utt})
@@ -200,9 +217,7 @@ def _cmd_retrieve(args, config) -> int:
         cache,
         records,
         k=k,
-        n_queries=args.queries,
-        query_split=args.split,
-        **_settings(args, config, "seed"),
+        **_settings(args, config, "seed", "queries", "split"),
     )
     out = Path(args.out) if args.out else Path(args.store) / "retrieval_report.csv"
     pipeline.write_retrieval_report(out, report)
@@ -219,26 +234,17 @@ def _cmd_train(args, config) -> int:
     records = read_manifest(args.manifest)
     manifest_dir = Path(args.manifest).parent
     hyper = _hyper(args, config)
-    encoder_cfg = _encoder_config(args, config)
-    store = cache = None
-    if args.kind != "baseline":
-        if not args.cache or not args.store:
-            print("error: --cache and --store are required for retrieval models",
-                  file=sys.stderr)
-            return 2
-        cache = CacheIndex.load(args.cache)
-        store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
-        encoder_cfg = replace(encoder_cfg, n_layers=cache.n_layers, feat_dim=cache.feat_dim)
+    cache, store = _retrieval_inputs(args) if args.kind != "baseline" else (None, None)
     result = model.train_model(
         args.kind,
         records,
         manifest_dir,
-        encoder_cfg,
+        _encoder_config(args, config),
         hyper,
         args.out,
         store=store,
         cache=cache,
-        run_name=args.name,
+        **_settings(args, config, "name"),
     )
     pipeline.write_run_manifest(
         args.out,
@@ -264,21 +270,12 @@ def _cmd_train(args, config) -> int:
 def _cmd_eval(args, config) -> int:
     records = [r for r in read_manifest(args.manifest) if r.split == args.split]
     manifest_dir = Path(args.manifest).parent
-    store = cache = None
-    encoder_cfg = None  # baseline scoring rebuilds the encoder from checkpoint meta
-    if args.kind != "baseline":
-        if not args.cache or not args.store:
-            print("error: --cache and --store are required for retrieval models",
-                  file=sys.stderr)
-            return 2
-        cache = CacheIndex.load(args.cache)
-        store = vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
+    cache, store = _retrieval_inputs(args) if args.kind != "baseline" else (None, None)
     scores = model.score_dataset(
         args.kind,
         args.checkpoint,
         records,
         manifest_dir,
-        encoder_cfg=encoder_cfg,
         store=store,
         cache=cache,
         k_refs=args.k,
@@ -403,8 +400,7 @@ def radmfa_grad_check(queries, refs, rng, just_difference=False, max_coords=None
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radspoof", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    encoder_keys = ("layers", "dim", "encoder_seed")
-    train_keys = ("lr", "batch", "epochs", "tau", "k", *encoder_keys)
+    train_keys = ("lr", "batch", "epochs", "tau", "k", *_ENCODER_KEYS)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     _add_settings(p, "seed", "n_speakers", "clips_per_speaker", "spoof_fraction", "splits")
@@ -412,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="cache short features and embeddings")
-    _add_settings(p, "tau", *encoder_keys)
+    _add_settings(p, "tau", *_ENCODER_KEYS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--tuned-from", dest="tuned_from", help="baseline checkpoint")
@@ -433,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--utt", help="single query utterance id")
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--split", default="eval")
+    p.add_argument("--queries", type=int)
+    p.add_argument("--split")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_retrieve)
 
@@ -443,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=model.MODEL_KINDS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--name", default="model")
+    p.add_argument("--name")
     p.add_argument("--cache")
     p.add_argument("--store")
     p.set_defaults(func=_cmd_train)
@@ -478,6 +474,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "kind", "baseline") != "baseline" and not (args.cache and args.store):
+            parser.error("--cache and --store are required for retrieval models")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, radf
-from .atomic import write_text
+from .atomic import replacing_path, write_text
 from .corpus import (
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
@@ -316,9 +316,11 @@ def extract_and_cache(
 ) -> CacheIndex:
     """Write short features and embeddings for every record; idempotent.
 
-    Existing checksum-valid entries are skipped; corrupt files raise. The
-    cache remembers the encoder fingerprint and refuses reuse with a
-    different configuration.
+    Existing checksum-valid entries are skipped; corrupt files raise. Each
+    entry file is written under a temp name and renamed into place, so a
+    run killed partway leaves whole entry files or none, and a re-run
+    completes the cache. The cache remembers the encoder fingerprint and
+    refuses reuse with a different configuration.
     """
     cfg.validate()
     if tau < 1:
@@ -350,8 +352,10 @@ def extract_and_cache(
         if n_cached < 2:
             segment = load_segment(manifest_dir, record)
             long_feature = encode_long(segment, cfg)
-            radf.write_feature(short_path, time_speedup(long_feature, tau), radf.KIND_SHORT)
-            radf.write_feature(embed_path, temporal_embed(long_feature), radf.KIND_EMBEDDING)
+            with replacing_path(short_path) as temp:
+                radf.write_feature(temp, time_speedup(long_feature, tau), radf.KIND_SHORT)
+            with replacing_path(embed_path) as temp:
+                radf.write_feature(temp, temporal_embed(long_feature), radf.KIND_EMBEDDING)
         entries[record.utt_id] = (short_rel, embed_rel)
 
     index = CacheIndex(

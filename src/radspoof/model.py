@@ -267,7 +267,6 @@ class TrainResult:
     log_path: Path
     best_dev_eer: float
     best_epoch: int
-    meta: dict[str, str]
 
 
 def _labels(records: list[ManifestRecord]) -> np.ndarray:
@@ -400,8 +399,8 @@ def train_model(
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "kind": kind,
-        "n_layers": str(encoder_cfg.n_layers),
-        "feat_dim": str(encoder_cfg.feat_dim),
+        "n_layers": str(runner.params.mfa.n_layers),  # a retrieval model's from its cache
+        "feat_dim": str(runner.params.mfa.feat_dim),
         "tau": str(hyper.tau),
         "k_refs": str(hyper.k_refs),
         "seed": str(hyper.seed),
@@ -418,7 +417,6 @@ def train_model(
         log_path=log_path,
         best_dev_eer=best_eer,
         best_epoch=best_epoch,
-        meta=meta,
     )
 
 
@@ -439,14 +437,23 @@ def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: malformed checkpoint meta ({exc})") from None
 
 
-def tuned_encoder_from_checkpoint(checkpoint_path, base_cfg: EncoderConfig) -> EncoderConfig:
-    """Reconstruct the tuned encoder the baseline checkpoint trained."""
+def _encoder_of(meta: dict) -> EncoderConfig:
+    """The untuned encoder a checkpoint's meta records."""
+    return EncoderConfig(meta["n_layers"], meta["feat_dim"], meta["encoder_seed"])
+
+
+def tuned_encoder_from_checkpoint(checkpoint_path) -> EncoderConfig:
+    """The tuned encoder a baseline checkpoint trained, wholly from the file:
+    the geometry and mixer seed from its meta, the per-layer scales and shifts
+    from its tensors."""
     arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != "baseline":
         raise IncompatibilityError("only baseline checkpoints carry encoder tuning")
     params = init_baseline(meta["n_layers"], meta["feat_dim"], np.random.default_rng(0))
     nn.ParamSet(params.tensors()).load_arrays(arrays)
-    return base_cfg.with_tuning([t.data for t in params.scales], [t.data for t in params.shifts])
+    return _encoder_of(meta).with_tuning(
+        [t.data for t in params.scales], [t.data for t in params.shifts]
+    )
 
 
 def score_dataset(
@@ -455,14 +462,17 @@ def score_dataset(
     records: list[ManifestRecord],
     manifest_dir,
     *,
-    encoder_cfg: EncoderConfig | None = None,
     store: StoreSet | None = None,
     cache: CacheIndex | None = None,
     k_refs: int | None = None,
     tau: int | None = None,
 ) -> list[ScoreRecord]:
     """Score records with a trained checkpoint; deterministic. `k_refs` and
-    `tau` default to the checkpoint's."""
+    `tau` default to the checkpoint's.
+
+    A baseline runs the encoder its checkpoint records (geometry and mixer
+    seed from the meta, tuning from the tensors); a retrieval model needs the
+    `store` and `cache` its checkpoint was trained on."""
     arrays, meta = _load_checkpoint(checkpoint_path)
     if meta["kind"] != kind:
         raise IncompatibilityError(f"checkpoint is kind {meta['kind']}, requested {kind}")
@@ -471,20 +481,7 @@ def score_dataset(
         tau=tau if tau is not None else meta["tau"],
     )
     if kind == "baseline":
-        n_layers, feat_dim = meta["n_layers"], meta["feat_dim"]
-        if encoder_cfg is None:
-            encoder_cfg = EncoderConfig(
-                n_layers=n_layers, feat_dim=feat_dim, seed=meta["encoder_seed"]
-            )
-        elif (
-            meta["encoder_seed"] != encoder_cfg.seed
-            or n_layers != encoder_cfg.n_layers
-            or feat_dim != encoder_cfg.feat_dim
-        ):
-            raise IncompatibilityError(
-                "checkpoint encoder geometry does not match the configured encoder"
-            )
-        runner = _BaselineRunner(manifest_dir, encoder_cfg, hyper)
+        runner = _BaselineRunner(manifest_dir, _encoder_of(meta), hyper)
     else:
         if cache is not None and meta["fingerprint"] != cache.fingerprint:
             raise IncompatibilityError(

@@ -1,10 +1,12 @@
 """End-to-end experiment orchestration.
 
-One seed experiment = train the fine-tuning baseline, freeze its tuned
-encoder, cache its features at tau=1, build the bonafide retrieval store,
-train the retrieval-augmented model, and score the eval split. The
-ablation grid and the compression sweep reuse each seed's baseline, cache
-and store; every tau is derived from the cached tau=1 frames.
+One seed experiment = train the fine-tuning baseline, freeze the tuned
+encoder its checkpoint records, cache its features at tau=1, build the
+bonafide retrieval store, train the retrieval-augmented model, and score
+the eval split. The ablation grid and the compression sweep reuse each
+seed's baseline, cache and store; every tau is derived from the cached
+tau=1 frames. Every model trained is one ``_train_and_score`` step, and
+every sweep point one ``_score_eval``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,32 @@ def write_run_manifest(out_dir, items: dict) -> None:
     write_text(out_dir / "run_manifest.txt", "\n".join(lines) + "\n")
 
 
-def _score_and_write(scores, path) -> float:
-    metrics.write_scores(path, scores)
+def _score_eval(workdir, records, manifest_dir, kind, checkpoint, name, **retrieval) -> float:
+    """Score the eval split, write scores/<name>.tsv and return the pooled EER;
+    `retrieval` is a retrieval model's `store` and `cache`, and optionally `tau`."""
+    eval_records = [r for r in records if r.split == "eval"]
+    scores = model.score_dataset(kind, checkpoint, eval_records, manifest_dir, **retrieval)
+    metrics.write_scores(Path(workdir) / "scores" / f"{name}.tsv", scores)
     return metrics.pooled_eer(scores).eer
+
+
+def _train_and_score(
+    workdir, records, manifest_dir, kind, encoder_cfg, hyper, name, *, mel_store=None, **retrieval
+) -> tuple[Path, float]:
+    """Train checkpoints/<name>.ckpt, then `_score_eval` it."""
+    checkpoint = model.train_model(
+        kind,
+        records,
+        manifest_dir,
+        encoder_cfg,
+        hyper,
+        Path(workdir) / "checkpoints",
+        run_name=name,
+        mel_store=mel_store,
+        **retrieval,
+    ).checkpoint_path
+    eer = _score_eval(workdir, records, manifest_dir, kind, checkpoint, name, **retrieval)
+    return checkpoint, eer
 
 
 def run_seed_experiment(
@@ -73,67 +98,42 @@ def run_seed_experiment(
     """Baseline then retrieval-augmented training for one seed."""
     workdir = Path(workdir)
     hyper = replace(hyper, seed=seed)
-    eval_records = [r for r in records if r.split == "eval"]
-
-    baseline = model.train_model(
-        "baseline",
+    baseline_ckpt, baseline_eer = _train_and_score(
+        workdir,
         records,
         manifest_dir,
+        "baseline",
         base_cfg,
         hyper,
-        workdir / "checkpoints",
-        run_name=f"baseline_seed{seed}",
+        f"baseline_seed{seed}",
         mel_store=mel_store,
     )
-    baseline_scores = model.score_dataset(
-        "baseline",
-        baseline.checkpoint_path,
-        eval_records,
-        manifest_dir,
-        encoder_cfg=base_cfg,
-    )
-    baseline_eer = _score_and_write(
-        baseline_scores, workdir / "scores" / f"baseline_seed{seed}.tsv"
-    )
-
-    tuned_cfg = model.tuned_encoder_from_checkpoint(baseline.checkpoint_path, base_cfg)
+    tuned_cfg = model.tuned_encoder_from_checkpoint(baseline_ckpt)
     cache = extract_and_cache(records, manifest_dir, tuned_cfg, 1, workdir / f"cache_seed{seed}")
     store, _ = vecstore.build_stores(
         records, cache, bonafide_only=True, splits=EXPERIMENT_DB_SPLITS
     )
-
-    rad = model.train_model(
-        "radmfa",
+    rad_ckpt, rad_eer = _train_and_score(
+        workdir,
         records,
         manifest_dir,
+        "radmfa",
         tuned_cfg,
         hyper,
-        workdir / "checkpoints",
-        store=store,
-        cache=cache,
-        run_name=f"radmfa_seed{seed}",
-    )
-    rad_scores = model.score_dataset(
-        "radmfa",
-        rad.checkpoint_path,
-        eval_records,
-        manifest_dir,
+        f"radmfa_seed{seed}",
         store=store,
         cache=cache,
     )
-    scores_path = workdir / "scores" / f"radmfa_seed{seed}.tsv"
-    rad_eer = _score_and_write(rad_scores, scores_path)
-
     return SeedOutcome(
         seed=seed,
-        baseline_ckpt=baseline.checkpoint_path,
+        baseline_ckpt=baseline_ckpt,
         baseline_eer=baseline_eer,
-        rad_ckpt=rad.checkpoint_path,
+        rad_ckpt=rad_ckpt,
         rad_eer=rad_eer,
         tuned_cfg=tuned_cfg,
         cache=cache,
         store=store,
-        eval_scores_path=scores_path,
+        eval_scores_path=workdir / "scores" / f"radmfa_seed{seed}.tsv",
     )
 
 
@@ -146,9 +146,6 @@ def run_variant(
     variant: str,
 ) -> float:
     """Train/score one ablation variant reusing a seed's tuned features."""
-    workdir = Path(workdir)
-    hyper = replace(hyper, seed=outcome.seed)
-    eval_records = [r for r in records if r.split == "eval"]
     if variant == "full":
         return outcome.rad_eer
     if variant == "no_rad":
@@ -163,26 +160,18 @@ def run_variant(
         kind = "just_difference"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    result = model.train_model(
-        kind,
+    _, eer = _train_and_score(
+        workdir,
         records,
         manifest_dir,
-        outcome.tuned_cfg,
-        hyper,
-        workdir / "checkpoints",
-        store=store,
-        cache=outcome.cache,
-        run_name=f"{variant}_seed{outcome.seed}",
-    )
-    scores = model.score_dataset(
         kind,
-        result.checkpoint_path,
-        eval_records,
-        manifest_dir,
+        outcome.tuned_cfg,
+        replace(hyper, seed=outcome.seed),
+        f"{variant}_seed{outcome.seed}",
         store=store,
         cache=outcome.cache,
     )
-    return _score_and_write(scores, workdir / "scores" / f"{variant}_seed{outcome.seed}.tsv")
+    return eer
 
 
 def ablation_grid(
@@ -239,17 +228,16 @@ def score_at_tau(
     tau=1 cache derives them, and its store serves retrieval unchanged
     because embeddings do not depend on the compression.
     """
-    scores = model.score_dataset(
+    return _score_eval(
+        workdir,
+        records,
+        manifest_dir,
         "radmfa",
         outcome.rad_ckpt,
-        [r for r in records if r.split == "eval"],
-        manifest_dir,
+        f"radmfa_seed{outcome.seed}_tau{tau}",
         store=outcome.store,
         cache=outcome.cache,
         tau=tau,
-    )
-    return _score_and_write(
-        scores, Path(workdir) / "scores" / f"radmfa_seed{outcome.seed}_tau{tau}.tsv"
     )
 
 
@@ -259,7 +247,6 @@ class RetrievalReport:
     chance_rate: float
     per_layer_median: list[float]
     per_layer_mean_similarity: list[float]
-    rows: list[tuple[str, int, list[float | None]]]  # (utt, n_layers, fractions)
 
 
 def retrieval_report(
@@ -267,7 +254,7 @@ def retrieval_report(
     cache: CacheIndex,
     records: list[ManifestRecord],
     *,
-    k: int = 10,
+    k: int,
     n_queries: int = 50,
     seed: int = 0,
     query_split: str = "eval",
@@ -281,11 +268,9 @@ def retrieval_report(
     queries = [candidates[i] for i in order]
     fractions: list[list[float | None]] = [[] for _ in range(store.n_layers)]
     sims: list[list[float]] = [[] for _ in range(store.n_layers)]
-    rows = []
     for record in queries:
         result = store.query_topk(cache.load_embedding(record.utt_id), k, exclude={record.utt_id})
         per_layer = speaker_consistency(result, record.speaker_id)
-        rows.append((record.utt_id, store.n_layers, per_layer))
         for layer, frac in enumerate(per_layer):
             if frac is not None:
                 fractions[layer].append(frac)
@@ -296,7 +281,6 @@ def retrieval_report(
         chance_rate=chance,
         per_layer_median=[float(np.median(f)) if f else float("nan") for f in fractions],
         per_layer_mean_similarity=[float(np.mean(s)) if s else float("nan") for s in sims],
-        rows=rows,
     )
 
 

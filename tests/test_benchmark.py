@@ -1,9 +1,10 @@
 """Smoke test of the benchmark workloads against the package's public names.
 
 ``benchmark/workloads.py`` drives the CLI and calls package functions by
-name; this runs the set-up and one unit of the retrieval and scoring
-workloads at toy size, so a name they use that moves or changes fails here
-rather than only under ``benchmark/run.py``.
+name; this runs the set-up and one unit of each workload at toy size, so a
+name they use that moves or changes fails here rather than only under
+``benchmark/run.py``. The experiment unit runs traced, because the tracer
+names its grid spans from positional arguments of the pipeline's functions.
 """
 
 import importlib
@@ -64,3 +65,31 @@ def test_scoring_setup_and_unit_pass_every_check(workloads, tmp_path):
     workload.unit(ctx, inputs, tmp_path / "job")
     assert len(workload.last_scores) == workload.n_eval
     assert ctx.checks.failed == 0
+
+
+def test_traced_experiment_unit_passes_every_check(workloads, tmp_path):
+    class ToyExperiment(workloads.Experiment):
+        def setup(self, ctx, root, tracer=None):
+            corpus = root / "corpus"
+            assert workloads.run_cli(ctx.pkg, tracer, [
+                "synth", "--out", str(corpus), "--seed", str(ctx.seed),
+                "--n-speakers", "4", "--clips-per-speaker", "20",
+                "--splits", "train=40,dev=12,eval=16,retrieval_extra=12",
+            ]) == 0
+            return corpus
+
+    ctx = _context(workloads)
+    workload = ToyExperiment()
+    corpus = workload.setup(ctx, tmp_path / "setup")
+    tracer = workloads.Tracer(ctx.pkg, "smoke", targets=None)
+    tracer.install()
+    try:
+        workload.unit(ctx, corpus, tmp_path / "job", tracer)
+    finally:
+        tracer.uninstall()
+    assert ctx.checks.failed == 0
+    pipeline = ctx.pkg.pipeline
+    for variant in pipeline.ABLATION_VARIANTS:
+        assert tracer.calls(f"pipeline.run_variant.{variant}") == 1
+    for tau in pipeline.TAU_SWEEP:
+        assert tracer.calls(f"pipeline.score_at_tau.{tau}") == 1

@@ -136,6 +136,53 @@ def test_ablate_writes_grid_csvs(workspace, tmp_path, capsys):
     assert (workdir / "config_hash.txt").exists()
 
 
+@pytest.fixture(scope="module")
+def seed2_baseline(workspace):
+    """A baseline checkpoint trained with a non-default encoder seed and geometry."""
+    root, manifest, _, _ = workspace
+    assert main([
+        "train", "--kind", "baseline", "--manifest", str(manifest),
+        "--out", str(root / "ck_seed2"), "--name", "base", "--epochs", "1", "--batch", "8",
+        "--encoder-seed", "2", "--layers", "3", "--dim", "16",
+    ]) == 0
+    return root / "ck_seed2" / "base.ckpt"
+
+
+def test_extract_tuned_from_takes_the_encoder_from_the_checkpoint(
+    workspace, seed2_baseline, tmp_path
+):
+    _, manifest, _, _ = workspace
+    extract = ["extract", "--manifest", str(manifest), "--tuned-from", str(seed2_baseline)]
+    assert main([*extract, "--cache", str(tmp_path / "bare")]) == 0
+    assert main([
+        *extract, "--cache", str(tmp_path / "flags"),
+        "--encoder-seed", "2", "--layers", "3", "--dim", "16",
+    ]) == 0
+    bare = CacheIndex.load(tmp_path / "bare").fingerprint
+    assert bare == CacheIndex.load(tmp_path / "flags").fingerprint
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_extract_tuned_from_refuses_a_disagreeing_encoder_seed(
+    workspace, seed2_baseline, tmp_path, capsys, via
+):
+    _, manifest, _, _ = workspace
+    cache_dir = tmp_path / "cache"
+    argv = [
+        "extract", "--manifest", str(manifest), "--cache", str(cache_dir),
+        "--tuned-from", str(seed2_baseline),
+    ]
+    # the geometry agrees with the checkpoint, the mixer seed does not
+    if via == "flag":
+        argv += ["--layers", "3", "--dim", "16", "--encoder-seed", "0"]
+    else:
+        (tmp_path / "settings.cfg").write_text("layers = 3\ndim = 16\nencoder_seed = 0\n")
+        argv += ["--config", str(tmp_path / "settings.cfg")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not cache_dir.exists()
+
+
 def test_eval_missing_store_is_usage_error(workspace):
     root, manifest, cache_dir, _ = workspace
     code = main([

@@ -287,6 +287,36 @@ def test_extract_cache_detects_corruption(small_corpus, tmp_path):
     assert records[2].utt_id in str(err.value)
 
 
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_extract_killed_mid_write_leaves_no_torn_entry(small_corpus, tmp_path, monkeypatch):
+    root, records = small_corpus
+    write_feature = radf.write_feature
+    calls = []
+
+    def torn_write(path, values, kind):
+        calls.append(path)
+        write_feature(path, values, kind)
+        if len(calls) == 3:  # the first record's files are whole, the next one is cut
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            raise OSError("killed mid-write")
+
+    monkeypatch.setattr(radf, "write_feature", torn_write)
+    cache_dir = tmp_path / "c"
+    with pytest.raises(OSError, match="killed mid-write"):
+        extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=cache_dir)
+    monkeypatch.undo()
+    left = [path for sub in ("short", "embed") for path in (cache_dir / sub).iterdir()]
+    assert len(left) == 2 and not [path for path in left if path.name.endswith(".tmp")]
+    for path in left:
+        radf.read_feature(path)  # a torn file fails its CRC or length check
+    extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=cache_dir)
+    extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "clean")
+    assert _tree(cache_dir) == _tree(tmp_path / "clean")
+
+
 def test_extract_cache_refuses_other_encoder(small_corpus, tmp_path):
     root, records = small_corpus
     cache_dir = tmp_path / "c"

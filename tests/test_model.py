@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radspoof import model, nn, vecstore
+from radspoof import encoder, model, nn, vecstore
 from radspoof.cli import mfa_grad_check, radmfa_grad_check
 from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache, mel_frames
@@ -309,11 +309,9 @@ def test_baseline_training_smoke(tiny_setup, tmp_path):
     lines = result.log_path.read_text().splitlines()
     assert len(lines) == 2
     eval_records = [r for r in records if r.split == "eval"]
-    scores = score_dataset(
-        "baseline", result.checkpoint_path, eval_records, root, encoder_cfg=encoder_cfg
-    )
+    scores = score_dataset("baseline", result.checkpoint_path, eval_records, root)
     assert len(scores) == len(eval_records)
-    tuned = model.tuned_encoder_from_checkpoint(result.checkpoint_path, encoder_cfg)
+    tuned = model.tuned_encoder_from_checkpoint(result.checkpoint_path)
     assert tuned.scales is not None and tuned.shifts is not None
     scales, _ = tuned.scale_arrays()
     assert not np.allclose(scales, 1.0)  # training moved the encoder
@@ -345,23 +343,40 @@ def test_incomplete_baseline_checkpoint_is_format_error(tmp_path, drop):
         meta["tau"] = "ten"
     path = tmp_path / "base.ckpt"
     nn.save_checkpoint(path, tensors, meta)
-    encoder_cfg = EncoderConfig(n_layers=2, feat_dim=4, seed=0)
     with pytest.raises(FormatError):
-        model.tuned_encoder_from_checkpoint(path, encoder_cfg)
+        model.tuned_encoder_from_checkpoint(path)
     with pytest.raises(FormatError):
-        score_dataset("baseline", path, [], tmp_path, encoder_cfg=encoder_cfg)
+        score_dataset("baseline", path, [], tmp_path)
 
 
 def test_complete_baseline_checkpoint_gives_its_tuning(tmp_path):
     tensors, meta = _baseline_checkpoint_parts()
     tensors["encoder.scale.1"] = np.full(4, 2.5)
     nn.save_checkpoint(tmp_path / "base.ckpt", tensors, meta)
-    encoder_cfg = EncoderConfig(n_layers=2, feat_dim=4, seed=0)
-    scales, shifts = model.tuned_encoder_from_checkpoint(
-        tmp_path / "base.ckpt", encoder_cfg
-    ).scale_arrays()
+    scales, shifts = model.tuned_encoder_from_checkpoint(tmp_path / "base.ckpt").scale_arrays()
     assert np.array_equal(scales, [[1.0] * 4, [2.5] * 4])
     assert np.array_equal(shifts, np.zeros((2, 4)))
+
+
+def test_baseline_checkpoint_names_its_encoder_seed(tiny_setup, tmp_path, monkeypatch):
+    root, records, _, _, _ = tiny_setup
+    hyper = TrainHyper(lr=1e-3, batch_size=12, epochs=1, seed=0, tau=10)
+    result = train_model(
+        "baseline", records, root, EncoderConfig(n_layers=3, feat_dim=16, seed=2), hyper, tmp_path
+    )
+    tuned = model.tuned_encoder_from_checkpoint(result.checkpoint_path)
+    assert (tuned.n_layers, tuned.feat_dim, tuned.seed) == (3, 16, 2)
+    mixer_seeds = set()
+    layer_mixer = encoder.layer_mixer
+
+    def spy(seed, layer, dim):
+        mixer_seeds.add(seed)
+        return layer_mixer(seed, layer, dim)
+
+    monkeypatch.setattr(encoder, "layer_mixer", spy)
+    eval_records = [r for r in records if r.split == "eval"]
+    score_dataset("baseline", result.checkpoint_path, eval_records, root)
+    assert mixer_seeds == {2}
 
 
 def test_train_requires_store_for_rad(tiny_setup, tmp_path):
