@@ -1,16 +1,21 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, extract, build-db, retrieve, train, eval, ablate,
-gradcheck. Flags override values from an optional key=value config file.
+gradcheck. ``main`` resolves each setting a command declares once: the flag
+wins, then the optional key=value --config file, then the default of the
+dataclass field or function parameter the setting names.
 Exit codes: 0 success, 1 failed check, 2 usage error.
 
-Every artifact directory receives config_hash.txt and run_manifest.txt so
-a run can be reproduced byte-for-byte from its logged configuration.
+synth, extract, build-db, train, eval and ablate then write run_manifest.txt
+and config_hash.txt from those resolved values: the command, every flag it
+read and every setting, each under its flag/config name, so the manifest
+alone repeats the run byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -45,11 +50,22 @@ _FIELD_OF = dict(
     encoder_seed="seed",
     batch="batch_size",
     k="k_refs",
-    queries="n_queries",
-    split="query_split",
-    name="run_name",
+    splits="split_counts",
 )
-_ENCODER_KEYS = ("layers", "dim", "encoder_seed")
+_TRAIN = (TrainHyper, "lr", "batch", "epochs", "tau", "k")
+_ENCODER = (EncoderConfig, "layers", "dim", "encoder_seed")
+
+# the directory each manifest-writing command records its run in
+_MANIFEST_DIR = {
+    "synth": lambda args: args.out,
+    "extract": lambda args: args.cache,
+    "build-db": lambda args: args.store,
+    "train": lambda args: args.out,
+    "eval": lambda args: Path(args.out).parent,
+    "ablate": lambda args: args.workdir,
+}
+# namespace entries that are the parser's plumbing, not the run's inputs
+_NOT_RECORDED = ("func", "parser", "settings", "config")
 
 
 def _read_config_file(path) -> dict:
@@ -80,17 +96,46 @@ def _parse_value(cast, text: str, what: str):
         raise ConfigurationError(f"{what}: expected {cast.__name__}, got {text!r}") from None
 
 
-def _settings(args, config: dict, *keys: str) -> dict:
-    """{field name: value} for each key that a flag or the config file sets,
-    the flag winning; unset keys are left to the dataclass defaults."""
-    values = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key)
-        if value is not None:
-            values[_FIELD_OF.get(key, key)] = value
-    return values
+def _default(source, name: str):
+    """The default `source` gives `name`: a function's parameter default, or
+    the attribute of a dataclass (its field default) or of an instance."""
+    if inspect.isfunction(source):
+        return inspect.signature(source).parameters[name].default
+    return getattr(source, name)
+
+
+def _resolve(args) -> None:
+    """Give every setting the command declares its value in `args`: the flag
+    wins, then the --config file, then the default of the field or parameter
+    the setting names. A --tuned-from checkpoint supplies the encoder defaults."""
+    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for source, *keys in getattr(args, "settings", ()):
+        if source is EncoderConfig and getattr(args, "tuned_from", None):
+            source = model.tuned_encoder_from_checkpoint(args.tuned_from)
+        for key in keys:
+            if getattr(args, key) is None:
+                value = config[key] if key in config else _default(source, _FIELD_OF.get(key, key))
+                setattr(args, key, value)
+
+
+def _fields(source, args) -> dict:
+    """{field name: resolved value} for each setting whose default `source` gives."""
+    return {
+        _FIELD_OF.get(key, key): getattr(args, key)
+        for owner, *keys in args.settings
+        if owner is source
+        for key in keys
+    }
+
+
+def _manifest_items(args) -> dict:
+    """The command, every flag it read and every setting, each under its
+    flag/config name; an unset optional flag is recorded empty."""
+    return {
+        key: "" if value is None else value
+        for key, value in vars(args).items()
+        if key not in _NOT_RECORDED
+    }
 
 
 def _parse_split_counts(text: str) -> dict[str, int]:
@@ -101,92 +146,55 @@ def _parse_split_counts(text: str) -> dict[str, int]:
     return counts
 
 
-def _encoder_config(args, config) -> EncoderConfig:
-    return EncoderConfig(**_settings(args, config, *_ENCODER_KEYS))
-
-
 def _retrieval_inputs(args) -> tuple[CacheIndex, vecstore.StoreSet]:
     """The cache at --cache and the store at --store, checked against its fingerprint."""
     cache = CacheIndex.load(args.cache)
     return cache, vecstore.load_stores(args.store, expected_fingerprint=cache.fingerprint)
 
 
-def _hyper(args, config) -> TrainHyper:
-    return TrainHyper(**_settings(args, config, "lr", "batch", "epochs", "seed", "k", "tau"))
+def _add_settings(parser, *groups) -> None:
+    """The --config flag plus one flag per setting key, typed as in
+    _CONFIG_KEYS. Each group is (source, *keys): an unset key takes the
+    default `source` gives its field or parameter."""
+    parser.add_argument("--config", help="key=value settings file")
+    for _, *keys in groups:
+        for key in keys:
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_CONFIG_KEYS[key])
+    parser.set_defaults(settings=groups)
 
 
-def _add_settings(parser, *keys: str) -> None:
-    """The --config flag plus one flag per setting key, typed as in _CONFIG_KEYS."""
-    parser.add_argument("--config", help="key=value defaults file")
-    for key in keys:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_CONFIG_KEYS[key])
-
-
-def _cmd_synth(args, config) -> int:
-    splits = _settings(args, config, "splits").get("splits")
-    cfg = CorpusConfig(
-        **_settings(args, config, "n_speakers", "clips_per_speaker", "spoof_fraction", "seed"),
-        split_counts=_parse_split_counts(splits) if splits else None,
-    )
-    records, manifest_path = write_corpus(cfg, args.out)
-    pipeline.write_run_manifest(
-        args.out,
-        {
-            "command": "synth",
-            "seed": cfg.seed,
-            "n_speakers": cfg.n_speakers,
-            "clips_per_speaker": cfg.clips_per_speaker,
-            "spoof_fraction": cfg.spoof_fraction,
-            "splits": splits or "train",
-        },
-    )
+def _cmd_synth(args) -> int:
+    fields = _fields(CorpusConfig, args)
+    if args.splits is not None:
+        fields["split_counts"] = _parse_split_counts(args.splits)
+    records, manifest_path = write_corpus(CorpusConfig(**fields), args.out)
     print(f"wrote {len(records)} clips and {manifest_path}")
     return 0
 
 
-def _cmd_extract(args, config) -> int:
+def _cmd_extract(args) -> int:
     records = read_manifest(args.manifest)
-    cfg = _encoder_config(args, config)
+    fields = _fields(EncoderConfig, args)
+    cfg = EncoderConfig(**fields)
     if args.tuned_from:
         cfg = model.tuned_encoder_from_checkpoint(args.tuned_from)
-        for field, value in _settings(args, config, *_ENCODER_KEYS).items():
+        for field, value in fields.items():
             if getattr(cfg, field) != value:
                 raise IncompatibilityError(
                     f"{args.tuned_from} records encoder {field}={getattr(cfg, field)}, not {value}"
                 )
-    tau = _hyper(args, config).tau
-    index = extract_and_cache(records, Path(args.manifest).parent, cfg, tau, args.cache)
-    pipeline.write_run_manifest(
-        args.cache,
-        {
-            "command": "extract",
-            "manifest": args.manifest,
-            "tau": tau,
-            "fingerprint": index.fingerprint,
-        },
-    )
-    print(f"cached {len(index.entries)} segments at tau={tau}")
+    index = extract_and_cache(records, Path(args.manifest).parent, cfg, args.tau, args.cache)
+    print(f"cached {len(index.entries)} segments at tau={args.tau}")
     return 0
 
 
-def _cmd_build_db(args, config) -> int:
+def _cmd_build_db(args) -> int:
     records = read_manifest(args.manifest)
     cache = CacheIndex.load(args.cache)
-    splits = set(args.splits.split(",")) if args.splits else vecstore.DEFAULT_DB_SPLITS
     store, report = vecstore.build_stores(
-        records, cache, bonafide_only=not args.include_spoof, splits=splits
+        records, cache, bonafide_only=not args.include_spoof, splits=set(args.splits.split(","))
     )
     vecstore.persist_stores(store, args.store)
-    pipeline.write_run_manifest(
-        args.store,
-        {
-            "command": "build-db",
-            "manifest": args.manifest,
-            "splits": ",".join(sorted(splits)),
-            "bonafide_only": not args.include_spoof,
-            "fingerprint": store.fingerprint,
-        },
-    )
     print(
         f"inserted {report.n_inserted} records per layer "
         f"(skipped {report.n_skipped_label} spoof, {report.n_skipped_split} off-split)"
@@ -194,12 +202,11 @@ def _cmd_build_db(args, config) -> int:
     return 0
 
 
-def _cmd_retrieve(args, config) -> int:
+def _cmd_retrieve(args) -> int:
     records = read_manifest(args.manifest)
     cache, store = _retrieval_inputs(args)
-    k = _hyper(args, config).k_refs
     if args.utt:
-        result = store.query_topk(cache.load_embedding(args.utt), k, exclude={args.utt})
+        result = store.query_topk(cache.load_embedding(args.utt), args.k, exclude={args.utt})
         speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), "?")
         fractions = vecstore.speaker_consistency(result, speaker)
         for layer, hits in enumerate(result.hits):
@@ -216,8 +223,10 @@ def _cmd_retrieve(args, config) -> int:
         store,
         cache,
         records,
-        k=k,
-        **_settings(args, config, "seed", "queries", "split"),
+        k=args.k,
+        n_queries=args.queries,
+        seed=args.seed,
+        query_split=args.split,
     )
     out = Path(args.out) if args.out else Path(args.store) / "retrieval_report.csv"
     pipeline.write_retrieval_report(out, report)
@@ -230,35 +239,19 @@ def _cmd_retrieve(args, config) -> int:
     return 0
 
 
-def _cmd_train(args, config) -> int:
+def _cmd_train(args) -> int:
     records = read_manifest(args.manifest)
-    manifest_dir = Path(args.manifest).parent
-    hyper = _hyper(args, config)
     cache, store = _retrieval_inputs(args) if args.kind != "baseline" else (None, None)
     result = model.train_model(
         args.kind,
         records,
-        manifest_dir,
-        _encoder_config(args, config),
-        hyper,
+        Path(args.manifest).parent,
+        EncoderConfig(**_fields(EncoderConfig, args)),
+        TrainHyper(**_fields(TrainHyper, args)),
         args.out,
         store=store,
         cache=cache,
-        **_settings(args, config, "name"),
-    )
-    pipeline.write_run_manifest(
-        args.out,
-        {
-            "command": "train",
-            "kind": args.kind,
-            "manifest": args.manifest,
-            "seed": hyper.seed,
-            "lr": hyper.lr,
-            "batch": hyper.batch_size,
-            "epochs": hyper.epochs,
-            "tau": hyper.tau,
-            "k": hyper.k_refs,
-        },
+        run_name=args.name,
     )
     print(
         f"trained {args.kind}: best dev EER {result.best_dev_eer:.4f} "
@@ -267,15 +260,14 @@ def _cmd_train(args, config) -> int:
     return 0
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args) -> int:
     records = [r for r in read_manifest(args.manifest) if r.split == args.split]
-    manifest_dir = Path(args.manifest).parent
     cache, store = _retrieval_inputs(args) if args.kind != "baseline" else (None, None)
     scores = model.score_dataset(
         args.kind,
         args.checkpoint,
         records,
-        manifest_dir,
+        Path(args.manifest).parent,
         store=store,
         cache=cache,
         k_refs=args.k,
@@ -284,52 +276,30 @@ def _cmd_eval(args, config) -> int:
     result = metrics.pooled_eer(scores)
     if args.det:
         metrics.write_det_csv(args.det, scores)
-    pipeline.write_run_manifest(
-        Path(args.out).parent,
-        {
-            "command": "eval",
-            "kind": args.kind,
-            "checkpoint": args.checkpoint,
-            "manifest": args.manifest,
-            "split": args.split,
-        },
-    )
     print(f"pooled EER {result.eer:.4f} (threshold {result.threshold:.4f}) -> {args.out}")
     return 0
 
 
-def _cmd_ablate(args, config) -> int:
-    records = read_manifest(args.manifest)
-    manifest_dir = Path(args.manifest).parent
-    hyper = _hyper(args, config)
-    base_cfg = _encoder_config(args, config)
+def _cmd_ablate(args) -> int:
     seeds = [_parse_value(int, s, "--seeds") for s in args.seeds.split(",")]
-    workdir = Path(args.workdir)
-    pipeline.write_run_manifest(
-        workdir,
-        {
-            "command": "ablate",
-            "manifest": args.manifest,
-            "seeds": args.seeds,
-            "lr": hyper.lr,
-            "batch": hyper.batch_size,
-            "epochs": hyper.epochs,
-            "tau": hyper.tau,
-            "k": hyper.k_refs,
-        },
-    )
     ablation_rows, sweep_rows = pipeline.ablation_grid(
-        workdir, records, manifest_dir, base_cfg, hyper, seeds
+        args.workdir,
+        read_manifest(args.manifest),
+        Path(args.manifest).parent,
+        EncoderConfig(**_fields(EncoderConfig, args)),
+        TrainHyper(**_fields(TrainHyper, args)),
+        seeds,
     )
     for variant, seed, eer in ablation_rows:
         print(f"{variant:16s} seed {seed}: pooled EER {eer:.4f}")
     for tau, seed, eer in sweep_rows:
         print(f"tau={tau:<3d}          seed {seed}: pooled EER {eer:.4f}")
+    workdir = Path(args.workdir)
     print(f"wrote {workdir / 'ablation.csv'} and {workdir / 'tau_sweep.csv'}")
     return 0
 
 
-def _cmd_gradcheck(args, config) -> int:
+def _cmd_gradcheck(args) -> int:
     checks = gradient_check_suite()
     failed = False
     for name, error, bound in checks:
@@ -400,52 +370,58 @@ def radmfa_grad_check(queries, refs, rng, just_difference=False, max_coords=None
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radspoof", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    train_keys = ("lr", "batch", "epochs", "tau", "k", *_ENCODER_KEYS)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
-    _add_settings(p, "seed", "n_speakers", "clips_per_speaker", "spoof_fraction", "splits")
+    _add_settings(
+        p, (CorpusConfig, "seed", "n_speakers", "clips_per_speaker", "spoof_fraction", "splits")
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="cache short features and embeddings")
-    _add_settings(p, "tau", *_ENCODER_KEYS)
+    _add_settings(p, (TrainHyper, "tau"), _ENCODER)
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--tuned-from", dest="tuned_from", help="baseline checkpoint")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("build-db", help="build per-layer retrieval stores")
-    _add_settings(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--store", required=True)
-    p.add_argument("--splits", help="comma-separated split names")
+    p.add_argument(
+        "--splits",
+        default=",".join(sorted(vecstore.DEFAULT_DB_SPLITS)),
+        help="comma-separated split names",
+    )
     p.add_argument("--include-spoof", action="store_true")
     p.set_defaults(func=_cmd_build_db)
 
     p = sub.add_parser("retrieve", help="query the store and report consistency")
-    _add_settings(p, "k", "seed")
+    _add_settings(p, (TrainHyper, "k"), (pipeline.retrieval_report, "seed"))
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--utt", help="single query utterance id")
-    p.add_argument("--queries", type=int)
-    p.add_argument("--split")
+    p.add_argument(
+        "--queries", type=int, default=_default(pipeline.retrieval_report, "n_queries")
+    )
+    p.add_argument("--split", default=_default(pipeline.retrieval_report, "query_split"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("train", help="train a detection model")
-    _add_settings(p, "seed", *train_keys)
+    _add_settings(p, (*_TRAIN, "seed"), _ENCODER)
     p.add_argument("--kind", required=True, choices=model.MODEL_KINDS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--name")
+    p.add_argument("--name", default=_default(model.train_model, "run_name"))
     p.add_argument("--cache")
     p.add_argument("--store")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a split and compute pooled EER")
-    _add_settings(p, "k")
+    _add_settings(p, (model.score_dataset, "k"))
     p.add_argument("--kind", required=True, choices=model.MODEL_KINDS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
@@ -457,16 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the variant grid and compression sweep")
-    _add_settings(p, *train_keys)
+    _add_settings(p, _TRAIN, _ENCODER)
     p.add_argument("--manifest", required=True)
     p.add_argument("--workdir", required=True)
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
-    _add_settings(p)
     p.set_defaults(func=_cmd_gradcheck)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -475,12 +452,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "kind", "baseline") != "baseline" and not (args.cache and args.store):
-            parser.error("--cache and --store are required for retrieval models")
+            args.parser.error("--cache and --store are required for retrieval models")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        _resolve(args)
+        code = args.func(args)
+        if args.command in _MANIFEST_DIR:
+            pipeline.write_run_manifest(_MANIFEST_DIR[args.command](args), _manifest_items(args))
+        return code
     except RadspoofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

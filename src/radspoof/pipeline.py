@@ -181,11 +181,8 @@ def ablation_grid(
     base_cfg: EncoderConfig,
     hyper: TrainHyper,
     seeds,
-    *,
-    variants=ABLATION_VARIANTS,
-    taus=TAU_SWEEP,
 ) -> tuple[list[tuple[str, int, float]], list[tuple[int, int, float]]]:
-    """Run the full variant grid plus the compression sweep.
+    """Run every variant of ABLATION_VARIANTS and every tau of TAU_SWEEP for each seed.
 
     Returns (ablation rows, sweep rows); also writes ablation.csv and
     tau_sweep.csv under workdir.
@@ -198,10 +195,10 @@ def ablation_grid(
         outcome = run_seed_experiment(
             workdir, records, manifest_dir, base_cfg, hyper, seed, mel_store=mel_store
         )
-        for variant in variants:
+        for variant in ABLATION_VARIANTS:
             eer = run_variant(workdir, records, manifest_dir, outcome, hyper, variant)
             ablation_rows.append((variant, seed, eer))
-        for tau in taus:
+        for tau in TAU_SWEEP:
             eer = score_at_tau(workdir, records, manifest_dir, outcome, tau)
             sweep_rows.append((tau, seed, eer))
 

@@ -22,9 +22,9 @@ and "end", then the payloads in header order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -50,15 +50,22 @@ def _write_payload(file, values) -> None:
     file.write(_CRC.pack(zlib.crc32(raw)))
 
 
-def _read_payload(buf, offset: int, shape, context) -> tuple[np.ndarray, int]:
-    """The checksummed payload of `shape` at `offset`, and the offset after it."""
-    end = offset + 4 * math.prod(shape)
-    if end + _CRC.size > len(buf):
+def _read_payload(file, shape, context) -> np.ndarray:
+    """The checksummed payload of `shape` at the file's position, read straight
+    into its own array; FormatError when the file is too short to hold it."""
+    nbytes = 4 * math.prod(shape)
+    if file.tell() + nbytes + _CRC.size > os.fstat(file.fileno()).st_size:
         raise FormatError(f"{context}: truncated payload")
-    raw = buf[offset:end]
-    if zlib.crc32(raw) != _CRC.unpack_from(buf, end)[0]:
+    values = np.empty(shape, dtype="<f4")
+    file.readinto(values.reshape(-1).view(np.uint8))
+    if zlib.crc32(values) != _CRC.unpack(file.read(_CRC.size))[0]:
         raise FormatError(f"{context}: checksum mismatch")
-    return np.frombuffer(raw, dtype="<f4").copy().reshape(shape), end + _CRC.size
+    return values
+
+
+def _expect_end(file, context) -> None:
+    if file.tell() != os.fstat(file.fileno()).st_size:
+        raise FormatError(f"{context}: trailing bytes after the payload")
 
 
 def write_feature(path, values: np.ndarray, kind: int) -> None:
@@ -88,19 +95,19 @@ def read_feature(path) -> tuple[int, np.ndarray]:
     for embeddings. Raises FormatError on bad magic, version, kind, shape,
     length or checksum.
     """
-    buf = Path(path).read_bytes()
-    if len(buf) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, kind, n_layers, n_frames, dim = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if kind not in _KINDS:
-        raise FormatError(f"{path}: unknown or retired kind {kind}")
-    values, end = _read_payload(buf, _HEADER.size, (n_layers, n_frames, dim), path)
-    if end != len(buf):
-        raise FormatError(f"{path}: trailing bytes after the payload")
+    with open(path, "rb") as file:
+        head = file.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, kind, n_layers, n_frames, dim = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if kind not in _KINDS:
+            raise FormatError(f"{path}: unknown or retired kind {kind}")
+        values = _read_payload(file, (n_layers, n_frames, dim), path)
+        _expect_end(file, path)
     if kind == KIND_EMBEDDING:
         if n_frames != 1:
             raise FormatError(f"{path}: embedding with T={n_frames}")
@@ -129,38 +136,37 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) ->
 def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a RADP file; returns (tensors, meta).
 
-    Raises FormatError on a bad magic, a malformed header line, a truncated
-    or corrupt payload, or trailing bytes.
+    Each payload is read straight into its own array, so reading holds no
+    more than the tensors themselves. Raises FormatError on a bad magic, a
+    malformed header line, a truncated or corrupt payload, or trailing bytes.
     """
-    blob = Path(path).read_bytes()
-    # every header line starts with "meta " or "tensor ", so the first whole
-    # "end" line is the terminator wherever "end" appears inside a value
-    try:
-        header_end = blob.index(b"\nend\n") + 5
-        lines = blob[:header_end].decode("utf-8").split("\n")[:-1]
-    except ValueError:
-        raise FormatError(f"{path}: missing header terminator or non-UTF-8 header") from None
-    if lines[0] != BUNDLE_MAGIC:
-        raise FormatError(f"{path}: bad RADP magic")
     meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
-    buf, offset = memoryview(blob), header_end  # slices of it copy nothing
-    for line in lines[1:-1]:
-        try:
-            kind, rest = line.split(" ", 1)
-            if kind == "meta":
-                key, value = rest.split(" ", 1)
-                meta[key] = value
-                continue
-            if kind != "tensor":
-                raise FormatError(f"{path}: unknown header line {line!r}")
-            name, dims = rest.rsplit(" ", 1)
-            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-            if any(d < 0 for d in shape):
-                raise ValueError(dims)
-        except ValueError:
-            raise FormatError(f"{path}: malformed header line {line!r}") from None
-        tensors[name], offset = _read_payload(buf, offset, shape, f"{path}:{name}")
-    if offset != len(buf):
-        raise FormatError(f"{path}: trailing bytes after payloads")
+    shapes: dict[str, tuple[int, ...]] = {}
+    with open(path, "rb") as file:
+        if file.readline() != f"{BUNDLE_MAGIC}\n".encode():
+            raise FormatError(f"{path}: bad RADP magic")
+        # every header line starts with "meta " or "tensor ", so the first
+        # whole "end" line is the terminator wherever "end" appears inside a value
+        while (raw := file.readline()) != b"end\n":
+            if not raw.endswith(b"\n"):
+                raise FormatError(f"{path}: missing header terminator")
+            try:  # a UnicodeDecodeError is a ValueError
+                kind, rest = raw[:-1].decode("utf-8").split(" ", 1)
+                if kind == "meta":
+                    key, value = rest.split(" ", 1)
+                    meta[key] = value
+                    continue
+                if kind != "tensor":
+                    raise FormatError(f"{path}: unknown header line {raw!r}")
+                name, dims = rest.rsplit(" ", 1)
+                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+                if any(d < 0 for d in shape):
+                    raise ValueError(dims)
+            except ValueError:
+                raise FormatError(f"{path}: malformed header line {raw!r}") from None
+            shapes[name] = shape
+        tensors = {
+            name: _read_payload(file, shape, f"{path}:{name}") for name, shape in shapes.items()
+        }
+        _expect_end(file, path)
     return tensors, meta

@@ -9,7 +9,7 @@ non-finite vector (built or loaded) or query is refused.
 A persisted store is a directory holding ``records.tsv`` (``index utt_id
 speaker_id`` per line, in insertion order) and ``vectors.radp``, one RADP
 bundle (see ``radf``) with an (N, F) tensor ``layer00``, ``layer01``, ...
-per layer and meta ``fingerprint``, ``tau``, ``n_layers`` and ``feat_dim``.
+per layer and meta ``fingerprint``, ``n_layers`` and ``feat_dim``.
 The bundle is written last, so a directory without it holds no store.
 """
 
@@ -59,7 +59,6 @@ class BuildReport:
 class StoreSet:
     n_layers: int
     feat_dim: int
-    tau: int
     fingerprint: str
     utt_ids: list[str]
     speaker_ids: list[str]
@@ -171,7 +170,6 @@ def build_stores(
     store = StoreSet(
         n_layers=cache.n_layers,
         feat_dim=cache.feat_dim,
-        tau=cache.tau,
         fingerprint=cache.fingerprint,
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
@@ -197,7 +195,7 @@ def persist_stores(store: StoreSet, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     rows = enumerate(zip(store.utt_ids, store.speaker_ids))
     write_text(directory / "records.tsv", "".join(f"{i}\t{u}\t{s}\n" for i, (u, s) in rows))
-    meta = {key: str(getattr(store, key)) for key in ("fingerprint", "tau", "n_layers", "feat_dim")}
+    meta = {key: str(getattr(store, key)) for key in ("fingerprint", "n_layers", "feat_dim")}
     layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(store.vectors)}
     write_tensors(directory / BUNDLE_NAME, layers, meta)
 
@@ -210,7 +208,7 @@ def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
     except FileNotFoundError:
         raise StoreNotFoundError(f"no store at {directory}") from None
     try:
-        n_layers, feat_dim, tau = (int(meta[key]) for key in ("n_layers", "feat_dim", "tau"))
+        n_layers, feat_dim = (int(meta[key]) for key in ("n_layers", "feat_dim"))
         fingerprint = meta["fingerprint"]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{directory / BUNDLE_NAME}: malformed store metadata ({exc})") from None
@@ -235,7 +233,6 @@ def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
     return StoreSet(
         n_layers=n_layers,
         feat_dim=feat_dim,
-        tau=tau,
         fingerprint=fingerprint,
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,

@@ -81,7 +81,6 @@ def test_criterion_2_retrieval_exactness():
     store = StoreSet(
         n_layers=layers,
         feat_dim=dim,
-        tau=10,
         fingerprint="synthetic",
         utt_ids=[f"u{i}" for i in range(n)],
         speaker_ids=[f"spk{i % 20}" for i in range(n)],

@@ -26,7 +26,7 @@ DIR_WRITERS = {
     ).save(),
     "run_manifest": lambda d: pipeline.write_run_manifest(d, {"command": "x"}),
     "store": lambda d: vecstore.persist_stores(
-        vecstore.StoreSet(1, 2, 1, "fp", ["u1"], ["spk"], [np.ones((1, 2), np.float32)]), d
+        vecstore.StoreSet(1, 2, "fp", ["u1"], ["spk"], [np.ones((1, 2), np.float32)]), d
     ),
 }
 

@@ -1,10 +1,11 @@
+import argparse
 import shutil
 
 import numpy as np
 import pytest
 
 from radspoof import model, nn, radf
-from radspoof.cli import _encoder_config, _hyper, build_parser, main
+from radspoof.cli import _MANIFEST_DIR, _fields, _resolve, build_parser, main
 from radspoof.corpus import ManifestRecord, write_manifest, write_wav
 from radspoof.encoder import CacheIndex, EncoderConfig
 from radspoof.model import TrainHyper
@@ -183,13 +184,47 @@ def test_extract_tuned_from_refuses_a_disagreeing_encoder_seed(
     assert not cache_dir.exists()
 
 
-def test_eval_missing_store_is_usage_error(workspace):
+def test_eval_missing_store_is_usage_error(workspace, capsys):
     root, manifest, cache_dir, _ = workspace
     code = main([
         "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
         "--manifest", str(manifest), "--out", str(root / "x.tsv"),
     ])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: radspoof eval ") and "--store" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["build-db", "--manifest", "m", "--cache", "c", "--store", "s"], ["gradcheck"],
+], ids=["build-db", "gradcheck"])
+def test_commands_without_settings_take_no_config(tmp_path, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\n")
+    assert main([*command, "--config", str(config)]) == 2
+
+
+def test_eval_config_k_scores_with_that_k(workspace, tmp_path):
+    root, manifest, cache_dir, store_dir = workspace
+    checkpoint = tmp_path / "rad.ckpt"
+    nn.save_checkpoint(checkpoint, *_radmfa_checkpoint_tensors(cache_dir))  # k_refs=3
+    (tmp_path / "k2.cfg").write_text("k = 2\n")
+    scores = {}
+    for run, extra in [
+        ("config", ["--config", str(tmp_path / "k2.cfg")]),
+        ("flag", ["--k", "2"]),
+        ("checkpoint", []),
+    ]:
+        scores[run] = tmp_path / f"{run}.tsv"
+        assert main([
+            "eval", "--kind", "radmfa", "--checkpoint", str(checkpoint),
+            "--manifest", str(manifest), "--out", str(scores[run]),
+            "--cache", str(cache_dir), "--store", str(store_dir), *extra,
+        ]) == 0
+    assert scores["config"].read_bytes() == scores["flag"].read_bytes()
+    assert scores["config"].read_bytes() != scores["checkpoint"].read_bytes()
+    # the last run left k unset: its manifest records it empty, the checkpoint's
+    assert "k=" in (tmp_path / "run_manifest.txt").read_text().splitlines()
 
 
 def test_eval_missing_store_fails_with_error_line(workspace, tmp_path, capsys):
@@ -448,8 +483,10 @@ def _build_db(tmp, manifest):
 @pytest.mark.parametrize(
     "argv",
     [
-        lambda tmp, manifest: ["gradcheck", "--config", str(tmp / "missing.cfg")],
-        lambda tmp, manifest: ["gradcheck", "--config", str(_write(tmp / "c.cfg", b"seed=abc\n"))],
+        lambda tmp, manifest: ["synth", "--out", str(tmp / "c"), "--config",
+                               str(tmp / "missing.cfg")],
+        lambda tmp, manifest: ["synth", "--out", str(tmp / "c"), "--config",
+                               str(_write(tmp / "c.cfg", b"seed=abc\n"))],
         lambda tmp, manifest: ["synth", "--out", str(tmp / "c"), "--config",
                                str(_write(tmp / "c.cfg", b"\xff\n"))],
         lambda tmp, manifest: ["synth", "--out", str(tmp / "corpus"), "--splits", "train"],
@@ -501,17 +538,23 @@ def test_extract_path_like_utt_id_fails_with_error_line(tmp_path, capsys, utt_id
     assert {p for p in tmp_path.rglob("*") if p != cache and cache not in p.parents} == before
 
 
-def test_unset_settings_take_the_dataclass_defaults():
+def test_unset_settings_take_the_dataclass_defaults(tmp_path):
     parser = build_parser()
     args = parser.parse_args(["ablate", "--manifest", "m", "--workdir", "w"])
-    assert _hyper(args, {}) == TrainHyper()
-    assert _encoder_config(args, {}) == EncoderConfig()
-    args = parser.parse_args(
-        ["ablate", "--manifest", "m", "--workdir", "w", "--k", "5", "--dim", "16"]
+    _resolve(args)
+    assert TrainHyper(**_fields(TrainHyper, args)) == TrainHyper()
+    assert EncoderConfig(**_fields(EncoderConfig, args)) == EncoderConfig()
+    config = tmp_path / "run.cfg"
+    config.write_text("layers = 3\nk = 4\nbatch = 8\nencoder_seed = 2\nlr = 0.5\n")
+    args = parser.parse_args([
+        "ablate", "--manifest", "m", "--workdir", "w", "--k", "5", "--dim", "16",
+        "--config", str(config),
+    ])
+    _resolve(args)
+    assert TrainHyper(**_fields(TrainHyper, args)) == TrainHyper(k_refs=5, batch_size=8, lr=0.5)
+    assert EncoderConfig(**_fields(EncoderConfig, args)) == EncoderConfig(
+        n_layers=3, feat_dim=16, seed=2
     )
-    config = {"layers": 3, "k": 4, "batch": 8, "encoder_seed": 2, "lr": 0.5}
-    assert _hyper(args, config) == TrainHyper(k_refs=5, batch_size=8, lr=0.5)
-    assert _encoder_config(args, config) == EncoderConfig(n_layers=3, feat_dim=16, seed=2)
 
 
 def test_synth_without_settings_uses_the_corpus_defaults(tmp_path):
@@ -520,3 +563,115 @@ def test_synth_without_settings_uses_the_corpus_defaults(tmp_path):
     for line in ("n_speakers=4", "clips_per_speaker=10", "spoof_fraction=0.5", "seed=0"):
         assert line in manifest
     assert len((tmp_path / "c" / "manifest.tsv").read_text().splitlines()) == 40
+
+
+def _subparsers():
+    """{command: its subparser} of the radspoof parser."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _read_run_manifest(directory) -> dict:
+    lines = (directory / "run_manifest.txt").read_text().splitlines()
+    items = dict(line.split("=", 1) for line in lines)
+    del items["config_hash"]
+    return items
+
+
+def _argv_from_manifest(directory, **redirect) -> list[str]:
+    """The command line a run manifest records, with some flags redirected;
+    an empty value is a flag the run left unset."""
+    items = _read_run_manifest(directory)
+    assert set(redirect) <= set(items), f"{directory}: output flags not recorded"
+    items.update(redirect)
+    command = items.pop("command")
+    argv = [command]
+    for action in _subparsers()[command]._actions:
+        value = items.pop(action.dest, "")
+        if not action.option_strings or value == "":
+            continue
+        if action.nargs == 0:  # a switch
+            argv += [action.option_strings[0]] if value == "True" else []
+        else:
+            argv += [action.option_strings[0], value]
+    assert not items, f"manifest keys that are no flag of {command}: {sorted(items)}"
+    return argv
+
+
+def _tree(path):
+    """{relative path: bytes} of a file or a directory, run manifests excluded."""
+    if path.is_file():
+        return {path.name: path.read_bytes()}
+    return {
+        str(p.relative_to(path)): p.read_bytes()
+        for p in sorted(path.rglob("*"))
+        if p.is_file() and p.name not in ("run_manifest.txt", "config_hash.txt")
+    }
+
+
+@pytest.fixture(scope="module")
+def manifest_runs(workspace):
+    """{run: (directory holding its run manifest, {output flag: path})} for one
+    run of every manifest-writing command; settings of the retrieval train
+    come from a config file."""
+    root, manifest, cache_dir, store_dir = workspace
+    runs = root / "runs"
+    small = ["--epochs", "1", "--batch", "8"]
+    assert main([
+        "train", "--kind", "baseline", "--manifest", str(manifest),
+        "--out", str(runs / "base"), "--layers", "3", "--dim", "16", *small,
+    ]) == 0
+    config = root / "rad.cfg"
+    config.write_text("k = 3\nepochs = 1\nbatch = 8\nseed = 4\nlr = 0.002\n")
+    assert main([
+        "train", "--kind", "radmfa", "--manifest", str(manifest), "--out", str(runs / "rad"),
+        "--name", "rad", "--cache", str(cache_dir), "--store", str(store_dir),
+        "--config", str(config),
+    ]) == 0
+    assert main([
+        "eval", "--kind", "radmfa", "--checkpoint", str(runs / "rad" / "rad.ckpt"),
+        "--manifest", str(manifest), "--out", str(runs / "eval" / "scores.tsv"),
+        "--det", str(runs / "eval" / "det.csv"),
+        "--cache", str(cache_dir), "--store", str(store_dir),
+    ]) == 0
+    assert main([
+        "ablate", "--manifest", str(manifest), "--workdir", str(runs / "grid"),
+        "--seeds", "0", "--k", "3", "--layers", "3", "--dim", "16", *small,
+    ]) == 0
+    return {
+        "synth": (manifest.parent, {"out": manifest.parent}),
+        "extract": (cache_dir, {"cache": cache_dir}),
+        "build-db": (store_dir, {"store": store_dir}),
+        "train_baseline": (runs / "base", {"out": runs / "base"}),
+        "train_radmfa_config": (runs / "rad", {"out": runs / "rad"}),
+        "eval": (runs / "eval", {
+            "out": runs / "eval" / "scores.tsv", "det": runs / "eval" / "det.csv",
+        }),
+        "ablate": (runs / "grid", {"workdir": runs / "grid"}),
+    }
+
+
+@pytest.mark.parametrize("run", [
+    "synth", "extract", "build-db", "train_baseline", "train_radmfa_config", "eval", "ablate",
+])
+def test_run_manifest_alone_repeats_the_run(manifest_runs, tmp_path, run):
+    directory, outputs = manifest_runs[run]
+    moved = {flag: tmp_path / path.name for flag, path in outputs.items()}
+    argv = _argv_from_manifest(directory, **{flag: str(path) for flag, path in moved.items()})
+    assert "--config" not in argv
+    assert main(argv) == 0
+    for flag, path in outputs.items():
+        assert _tree(moved[flag]) == _tree(path), f"{run}: --{flag} output differs"
+
+
+def test_every_flag_of_a_manifest_writing_command_is_in_its_manifest(manifest_runs):
+    recorded = {}
+    for directory, _ in manifest_runs.values():
+        items = _read_run_manifest(directory)
+        recorded.setdefault(items["command"], set()).update(items)
+    assert set(recorded) == set(_MANIFEST_DIR)
+    for command, parser in _subparsers().items():
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "config"}
+        if command in _MANIFEST_DIR:
+            assert flags <= recorded[command], f"{command} leaves out {flags - recorded[command]}"

@@ -32,7 +32,6 @@ def _store(tmp_path):
     store = StoreSet(
         n_layers=2,
         feat_dim=3,
-        tau=10,
         fingerprint="fuzz",
         utt_ids=["a", "b", "c", "d"],
         speaker_ids=["s0", "s1", "s0", "s1"],

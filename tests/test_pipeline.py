@@ -5,6 +5,7 @@ from radspoof.corpus import CorpusConfig, write_corpus
 from radspoof.encoder import CacheIndex, EncoderConfig, extract_and_cache
 from radspoof.model import TrainHyper
 from radspoof.pipeline import (
+    TAU_SWEEP,
     ablation_grid,
     config_hash,
     retrieval_report,
@@ -71,27 +72,21 @@ def test_seed_experiment_and_grid_deterministic(micro_setup, tmp_path, monkeypat
         return load_short(self, utt_id, tau)
 
     monkeypatch.setattr(CacheIndex, "load_short", counting)
-    rows_a, sweep_a = ablation_grid(
-        workdir, records, root / "corpus", base_cfg, hyper, seeds=(0,),
-        variants=("full", "no_rad", "no_extra_db", "just_difference"), taus=(5, 10),
-    )
+    rows_a, sweep_a = ablation_grid(workdir, records, root / "corpus", base_cfg, hyper, seeds=(0,))
     monkeypatch.undo()
     # runners, scoring calls and sweep points share one short-feature table per tau
-    assert len(short_taus) <= len(records) * len({hyper.tau, 5, 10})
+    assert len(short_taus) <= len(records) * len({hyper.tau, *TAU_SWEEP})
     csv_a = (workdir / "ablation.csv").read_bytes()
     sweep_csv_a = (workdir / "tau_sweep.csv").read_bytes()
     assert len(rows_a) == 4
-    assert len(sweep_a) == 2
+    assert [row[0] for row in sweep_a] == list(TAU_SWEEP)
     variants = [r[0] for r in rows_a]
     assert variants == ["full", "no_rad", "no_extra_db", "just_difference"]
     for _, _, eer in rows_a + sweep_a:
         assert 0.0 <= eer <= 1.0
 
     workdir_b = tmp_path / "grid_b"
-    ablation_grid(
-        workdir_b, records, root / "corpus", base_cfg, hyper, seeds=(0,),
-        variants=("full", "no_rad", "no_extra_db", "just_difference"), taus=(5, 10),
-    )
+    ablation_grid(workdir_b, records, root / "corpus", base_cfg, hyper, seeds=(0,))
     assert (workdir_b / "ablation.csv").read_bytes() == csv_a
     assert (workdir_b / "tau_sweep.csv").read_bytes() == sweep_csv_a
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,23 @@ def test_bundle_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(FormatError):
         radf.read_tensors(path)
+
+
+def test_bundle_read_holds_little_more_than_its_tensors(tmp_path):
+    rng = np.random.default_rng(5)
+    tensors = {
+        f"layer{l:02d}": rng.standard_normal((20_000, 32)).astype(np.float32) for l in range(5)
+    }
+    path = tmp_path / "b.radp"
+    radf.write_tensors(path, tensors, {"fingerprint": "f"})
+    del tensors
+    size = path.stat().st_size
+    assert size > 10 * 2**20
+    tracemalloc.start()
+    try:
+        loaded, _ = radf.read_tensors(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.nbytes for t in loaded.values()) == 5 * 20_000 * 32 * 4
+    assert peak <= 1.25 * size, f"peak {peak / 2**20:.1f} MiB for a {size / 2**20:.1f} MiB file"

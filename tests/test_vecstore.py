@@ -22,7 +22,6 @@ def make_store(vectors_per_layer, utt_ids=None, speaker_ids=None):
     return StoreSet(
         n_layers=len(vectors_per_layer),
         feat_dim=vectors_per_layer[0].shape[1],
-        tau=10,
         fingerprint="test",
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
@@ -278,7 +277,7 @@ def test_store_directory_is_records_plus_one_radp_bundle(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.tsv", "vectors.radp"]
     assert (tmp_path / "records.tsv").read_text() == "0\ta\tspk0\n1\tb\tspk1\n2\tc\tspk2\n"
     header = (
-        "RADP 1\nmeta feat_dim 2\nmeta fingerprint test\nmeta n_layers 2\nmeta tau 10\n"
+        "RADP 1\nmeta feat_dim 2\nmeta fingerprint test\nmeta n_layers 2\n"
         "tensor layer00 3,2\ntensor layer01 3,2\nend\n"
     ).encode()
     payloads = b"".join(
@@ -286,6 +285,19 @@ def test_store_directory_is_records_plus_one_radp_bundle(tmp_path):
         for raw in (layer0.astype("<f4").tobytes(), layer1.astype("<f4").tobytes())
     )
     assert (tmp_path / "vectors.radp").read_bytes() == header + payloads
+
+
+def test_bundle_with_the_retired_tau_meta_key_still_loads(cached_corpus, tmp_path):
+    # stores once recorded the cache's tau in their meta; nothing reads it
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    _rewrite_bundle(tmp_path, lambda tensors, meta: meta.update(tau="10"))
+    assert b"\nmeta tau 10\n" in (tmp_path / "vectors.radp").read_bytes()
+    loaded = load_stores(tmp_path, expected_fingerprint=cache.fingerprint)
+    assert loaded.utt_ids == store.utt_ids
+    for a, b in zip(loaded.vectors, store.vectors):
+        assert np.array_equal(a, b)
 
 
 def _rewrite_bundle(directory, edit):
@@ -330,9 +342,8 @@ def test_store_without_bundle_is_not_found(cached_corpus, tmp_path):
         lambda tensors, meta: tensors.pop("layer01"),
         lambda tensors, meta: tensors.update(layer01=tensors["layer01"][:-1]),
         lambda tensors, meta: meta.update(feat_dim="3"),
-        lambda tensors, meta: meta.update(tau="ten"),
     ],
-    ids=["missing_layer", "short_layer", "wrong_feat_dim", "non_integer_tau"],
+    ids=["missing_layer", "short_layer", "wrong_feat_dim"],
 )
 def test_load_bundle_disagreeing_with_records_is_format_error(cached_corpus, tmp_path, edit):
     records, cache = cached_corpus
