@@ -68,7 +68,10 @@ _MANIFEST_DIR = {
 _NOT_RECORDED = ("func", "parser", "settings", "config")
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(args) -> dict:
+    """The settings in the --config file; a key that is unknown or that the
+    command does not declare is a ConfigurationError."""
+    path, declared = args.config, {key for _, *keys in args.settings for key in keys}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -85,6 +88,8 @@ def _read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key not in declared:
+            raise ConfigurationError(f"{path}:{line_no}: {args.command} takes no setting {key!r}")
         values[key] = _parse_value(_CONFIG_KEYS[key], value, f"{path}:{line_no}: {key}")
     return values
 
@@ -108,7 +113,7 @@ def _resolve(args) -> None:
     """Give every setting the command declares its value in `args`: the flag
     wins, then the --config file, then the default of the field or parameter
     the setting names. A --tuned-from checkpoint supplies the encoder defaults."""
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    config = _read_config_file(args) if getattr(args, "config", None) else {}
     for source, *keys in getattr(args, "settings", ()):
         if source is EncoderConfig and getattr(args, "tuned_from", None):
             source = model.tuned_encoder_from_checkpoint(args.tuned_from)
@@ -228,14 +233,14 @@ def _cmd_retrieve(args) -> int:
         seed=args.seed,
         query_split=args.split,
     )
-    out = Path(args.out) if args.out else Path(args.store) / "retrieval_report.csv"
-    pipeline.write_retrieval_report(out, report)
     for layer, med in enumerate(report.per_layer_median):
         print(
             f"layer {layer}: median same-speaker {med:.3f} "
             f"(chance {report.chance_rate:.3f})"
         )
-    print(f"report written to {out}")
+    if args.out:  # the store directory stays as build-db wrote it
+        pipeline.write_retrieval_report(args.out, report)
+        print(f"report written to {args.out}")
     return 0
 
 

@@ -42,6 +42,8 @@ SPLITS = ("train", "dev", "eval", "retrieval_extra")
 _TARGET_RMS = 0.1
 _NOISE_DB = -45.0
 DURATION_RANGE = (2.5, 6.0)  # seconds, uniform per clip before segmentation
+_PHASE_RESET_FRAME = 160  # samples: 10 ms
+_ENVELOPE_SMOOTH_HZ = 150.0  # boxcar width over the magnitude spectrum
 
 
 @dataclass
@@ -52,12 +54,9 @@ class AudioClip:
     speaker_id: str
     label: str
     spoof_method: str | None
-    samples: np.ndarray  # float32 in [-1, 1]
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray  # float32 in [-1, 1], at SAMPLE_RATE
 
     def validate(self) -> None:
-        if self.sample_rate != SAMPLE_RATE:
-            raise InvalidInputError(f"{self.utt_id}: sample_rate must be {SAMPLE_RATE}")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidInputError(f"{self.utt_id}: non-finite samples")
         if self.samples.size and (np.max(np.abs(self.samples)) > 1.0):
@@ -173,22 +172,22 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spoof_phase_reset(x: np.ndarray, frame: int = 160) -> np.ndarray:
+def _spoof_phase_reset(x: np.ndarray) -> np.ndarray:
     """Re-synthesize each 10 ms frame from magnitude only (phase zeroed)."""
     n = len(x)
-    n_frames = -(-n // frame)
-    padded = np.zeros(n_frames * frame)
+    n_frames = -(-n // _PHASE_RESET_FRAME)
+    padded = np.zeros(n_frames * _PHASE_RESET_FRAME)
     padded[:n] = x
-    frames = padded.reshape(n_frames, frame)
-    rebuilt = np.fft.irfft(np.abs(np.fft.rfft(frames, axis=1)), n=frame, axis=1)
+    frames = padded.reshape(n_frames, _PHASE_RESET_FRAME)
+    rebuilt = np.fft.irfft(np.abs(np.fft.rfft(frames, axis=1)), n=_PHASE_RESET_FRAME, axis=1)
     return _normalize(rebuilt.reshape(-1)[:n])
 
 
-def _spoof_envelope_smooth(x: np.ndarray, width_hz: float = 150.0) -> np.ndarray:
+def _spoof_envelope_smooth(x: np.ndarray) -> np.ndarray:
     """Boxcar-smooth the whole-clip magnitude spectrum, keep the phase."""
     spectrum = np.fft.rfft(x)
     mag = np.abs(spectrum)
-    width = max(3, int(round(width_hz * len(x) / SAMPLE_RATE)) | 1)
+    width = max(3, int(round(_ENVELOPE_SMOOTH_HZ * len(x) / SAMPLE_RATE)) | 1)
     smoothed = np.convolve(mag, np.ones(width) / width, mode="same")
     safe = np.where(mag > 0.0, mag, 1.0)
     return _normalize(np.fft.irfft(spectrum * (smoothed / safe), n=len(x)))

@@ -90,7 +90,7 @@ class EncoderConfig:
         )
 
 
-def frame_count(n_samples: int = SEGMENT_SAMPLES) -> int:
+def frame_count(n_samples: int) -> int:
     return (n_samples - WINDOW) // HOP + 1
 
 
@@ -103,11 +103,11 @@ def _mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=None)
-def mel_filterbank(n_mels: int, n_fft: int = N_FFT, sr: int = SAMPLE_RATE) -> np.ndarray:
+def mel_filterbank(n_mels: int) -> np.ndarray:
     """Triangular mel filters as an (n_bins, n_mels) matrix, peak 1; built
-    once per geometry and shared read-only."""
-    n_bins = n_fft // 2 + 1
-    freqs = np.arange(n_bins) * (sr / n_fft)
+    once per width and shared read-only."""
+    n_bins = N_FFT // 2 + 1
+    freqs = np.arange(n_bins) * (SAMPLE_RATE / N_FFT)
     mel_points = np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), n_mels + 2)
     hz_points = _mel_to_hz(mel_points)
     bank = np.zeros((n_bins, n_mels))
@@ -207,7 +207,7 @@ class CacheIndex:
     feat_dim: int
     entries: dict[str, tuple[str, str]]  # utt_id -> (short path, embedding path)
     _tables: dict[int, tuple[dict[str, int], np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def _entry(self, utt_id: str) -> tuple[str, str]:

@@ -16,7 +16,9 @@ array of rows in the cache's short-feature table at the run's tau
 (``CacheIndex.short_table``, read once per cache object and tau), and each
 batch takes its queries (B, L, T, F) and references (B, K, L, T, F) from
 that table with one fancy-index apiece. A query given fewer than k
-references is an error, never a silently smaller K.
+references is an error, never a silently smaller K. The baseline gathers
+its batches the same way, from one float64 (N, T', F) log-mel table that
+its runner fills once, one WAV read per record it trains or scores on.
 
 Each model has exactly one batched forward: ``radmfa_forward`` (both
 retrieval heads, selected by ``RadMfaParams.just_difference``) and
@@ -35,8 +37,10 @@ import numpy as np
 
 from . import nn
 from .atomic import write_text
-from .corpus import LABEL_BONAFIDE, ManifestRecord, load_segment
-from .encoder import CacheIndex, EncoderConfig, cascade, encoder_fingerprint, mel_frames
+from .corpus import LABEL_BONAFIDE, SEGMENT_SAMPLES, ManifestRecord, load_segment
+from .encoder import (
+    CacheIndex, EncoderConfig, cascade, encoder_fingerprint, frame_count, mel_frames
+)
 from .errors import (
     ConfigurationError, FeatureLoadError, FormatError, IncompatibilityError, InvalidInputError
 )
@@ -69,13 +73,13 @@ class MfaParams:
     def feat_dim(self) -> int:
         return self.time_pools[0].attn_w.data.shape[0]
 
-    def tensors(self, prefix: str = "mfa") -> dict[str, nn.Tensor]:
+    def tensors(self) -> dict[str, nn.Tensor]:
         out: dict[str, nn.Tensor] = {}
         for l, pool in enumerate(self.time_pools):
-            out.update(pool.tensors(f"{prefix}.time_pool.{l}"))
-        out[f"{prefix}.merge_w"] = self.merge_w
-        out[f"{prefix}.merge_b"] = self.merge_b
-        out.update(self.layer_pool.tensors(f"{prefix}.layer_pool"))
+            out.update(pool.tensors(f"mfa.time_pool.{l}"))
+        out["mfa.merge_w"] = self.merge_w
+        out["mfa.merge_b"] = self.merge_b
+        out.update(self.layer_pool.tensors("mfa.layer_pool"))
         return out
 
 
@@ -283,25 +287,23 @@ def _scores_from_logits(records, logits: np.ndarray) -> list[ScoreRecord]:
 
 
 class _BaselineRunner:
-    def __init__(self, manifest_dir, encoder_cfg, hyper, mel_store=None):
+    def __init__(self, records, manifest_dir, encoder_cfg, hyper):
+        """Reads each of `records` once, into its row of one float64
+        (N, T', F) log-mel table that every batch gathers from."""
         self.encoder_cfg = encoder_cfg
         self.hyper = hyper
-        self.mel_store = mel_store if mel_store is not None else {}
-        self.manifest_dir = manifest_dir
+        self.rows = {r.utt_id: row for row, r in enumerate(records)}
+        shape = (len(records), frame_count(SEGMENT_SAMPLES), encoder_cfg.feat_dim)
+        self.mels = np.empty(shape)  # filled in place: a list of rows would double the peak
+        for row, record in enumerate(records):
+            samples = load_segment(manifest_dir, record).samples
+            self.mels[row] = mel_frames(samples, encoder_cfg.feat_dim)
         rng = np.random.default_rng(np.random.SeedSequence((hyper.seed, 501)))
         self.params = init_baseline(encoder_cfg.n_layers, encoder_cfg.feat_dim, rng)
         self.param_set = nn.ParamSet(self.params.tensors())
 
-    def _mel(self, record) -> np.ndarray:
-        if record.utt_id not in self.mel_store:
-            segment = load_segment(self.manifest_dir, record)
-            self.mel_store[record.utt_id] = mel_frames(
-                segment.samples, self.encoder_cfg.feat_dim
-            )
-        return self.mel_store[record.utt_id]
-
     def logits(self, batch_records) -> nn.Tensor:
-        mels = np.stack([self._mel(r) for r in batch_records])
+        mels = self.mels[[self.rows[r.utt_id] for r in batch_records]]  # (B, T', F)
         return baseline_forward(mels, self.params, self.encoder_cfg, self.hyper.tau)
 
 
@@ -355,7 +357,6 @@ def train_model(
     store: StoreSet | None = None,
     cache: CacheIndex | None = None,
     run_name: str = "model",
-    mel_store: dict | None = None,
 ) -> TrainResult:
     """Deterministic training loop with per-epoch dev EER and best-checkpoint
     selection. Retrieval during training always excludes the query's own id.
@@ -369,7 +370,7 @@ def train_model(
         raise ConfigurationError("need non-empty train and dev splits")
 
     if kind == "baseline":
-        runner = _BaselineRunner(manifest_dir, encoder_cfg, hyper, mel_store)
+        runner = _BaselineRunner(train_records + dev_records, manifest_dir, encoder_cfg, hyper)
     else:
         runner = _RadRunner(store, cache, hyper, kind == "just_difference")
 
@@ -481,7 +482,7 @@ def score_dataset(
         tau=tau if tau is not None else meta["tau"],
     )
     if kind == "baseline":
-        runner = _BaselineRunner(manifest_dir, _encoder_of(meta), hyper)
+        runner = _BaselineRunner(records, manifest_dir, _encoder_of(meta), hyper)
     else:
         if cache is not None and meta["fingerprint"] != cache.fingerprint:
             raise IncompatibilityError(

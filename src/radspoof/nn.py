@@ -21,6 +21,7 @@ from .errors import CheckpointNotFoundError, FormatError, GradCheckError, Invali
 
 ASP_EPS = 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRAD_CHECK_STEP = 1e-5  # central-difference half-width
 
 
 class Tensor:
@@ -383,15 +384,15 @@ class ParamSet:
             tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def grad_check(fn, inputs, step: float = 1e-5, seed: int = 0, max_coords: int | None = None):
+def grad_check(fn, inputs, seed: int = 0, max_coords: int | None = None):
     """Max relative error between reverse-mode and central-difference grads.
 
     fn maps Tensors to one output Tensor. Each array input becomes a fresh
     leaf once, a copy, so the caller's array is never written; a leaf Tensor
     (such as a model's own parameter) is used as it is. A fixed random
     cotangent turns a non-scalar output into the scalar sum(u * fn(x)). Each
-    probed coordinate is perturbed in place by +-step and then restored to
-    its exact value. Error per coordinate is |a - n| / max(1, |a|, |n|).
+    probed coordinate is perturbed in place by +-GRAD_CHECK_STEP and then
+    restored to its exact value. Error per coordinate is |a - n| / max(1, |a|, |n|).
     """
     leaves = [x if isinstance(x, Tensor) else parameter(x) for x in inputs]
 
@@ -424,13 +425,13 @@ def grad_check(fn, inputs, step: float = 1e-5, seed: int = 0, max_coords: int | 
         for j in flat_coords:
             original = values[j]
             try:
-                values[j] += step
+                values[j] += GRAD_CHECK_STEP
                 plus = scalar_at()
-                values[j] -= 2 * step
+                values[j] -= 2 * GRAD_CHECK_STEP
                 minus = scalar_at()
             finally:
                 values[j] = original
-            numeric = (plus - minus) / (2 * step)
+            numeric = (plus - minus) / (2 * GRAD_CHECK_STEP)
             a = float(grad.flat[j])
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)

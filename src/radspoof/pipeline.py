@@ -67,7 +67,7 @@ def _score_eval(workdir, records, manifest_dir, kind, checkpoint, name, **retrie
 
 
 def _train_and_score(
-    workdir, records, manifest_dir, kind, encoder_cfg, hyper, name, *, mel_store=None, **retrieval
+    workdir, records, manifest_dir, kind, encoder_cfg, hyper, name, **retrieval
 ) -> tuple[Path, float]:
     """Train checkpoints/<name>.ckpt, then `_score_eval` it."""
     checkpoint = model.train_model(
@@ -78,7 +78,6 @@ def _train_and_score(
         hyper,
         Path(workdir) / "checkpoints",
         run_name=name,
-        mel_store=mel_store,
         **retrieval,
     ).checkpoint_path
     eer = _score_eval(workdir, records, manifest_dir, kind, checkpoint, name, **retrieval)
@@ -92,21 +91,12 @@ def run_seed_experiment(
     base_cfg: EncoderConfig,
     hyper: TrainHyper,
     seed: int,
-    *,
-    mel_store: dict | None = None,
 ) -> SeedOutcome:
     """Baseline then retrieval-augmented training for one seed."""
     workdir = Path(workdir)
     hyper = replace(hyper, seed=seed)
     baseline_ckpt, baseline_eer = _train_and_score(
-        workdir,
-        records,
-        manifest_dir,
-        "baseline",
-        base_cfg,
-        hyper,
-        f"baseline_seed{seed}",
-        mel_store=mel_store,
+        workdir, records, manifest_dir, "baseline", base_cfg, hyper, f"baseline_seed{seed}"
     )
     tuned_cfg = model.tuned_encoder_from_checkpoint(baseline_ckpt)
     cache = extract_and_cache(records, manifest_dir, tuned_cfg, 1, workdir / f"cache_seed{seed}")
@@ -188,13 +178,10 @@ def ablation_grid(
     tau_sweep.csv under workdir.
     """
     workdir = Path(workdir)
-    mel_store: dict = {}
     ablation_rows: list[tuple[str, int, float]] = []
     sweep_rows: list[tuple[int, int, float]] = []
     for seed in seeds:
-        outcome = run_seed_experiment(
-            workdir, records, manifest_dir, base_cfg, hyper, seed, mel_store=mel_store
-        )
+        outcome = run_seed_experiment(workdir, records, manifest_dir, base_cfg, hyper, seed)
         for variant in ABLATION_VARIANTS:
             eer = run_variant(workdir, records, manifest_dir, outcome, hyper, variant)
             ablation_rows.append((variant, seed, eer))

@@ -1,16 +1,17 @@
 """Per-layer vector databases over bonafide embeddings with exact top-K search.
 
-One flat store per encoder layer, all sharing the same record list in
-insertion order. Search is an exact cosine scan: similarities are ranked
-descending with ties broken by ascending insertion index, so results are
-total-ordered and reproducible. Zero-norm vectors are never retrieved; a
-non-finite vector (built or loaded) or query is refused.
+One flat store per encoder layer; together they are one float32 (L, N, F)
+array, whose shape gives L and F, and share one record list in insertion order.
+Search is an exact cosine scan: similarities are ranked descending with
+ties broken by ascending insertion index, so results are total-ordered and
+reproducible. Zero-norm vectors are never retrieved; a non-finite vector
+(built or loaded) or query is refused.
 
 A persisted store is a directory holding ``records.tsv`` (``index utt_id
 speaker_id`` per line, in insertion order) and ``vectors.radp``, one RADP
-bundle (see ``radf``) with an (N, F) tensor ``layer00``, ``layer01``, ...
-per layer and meta ``fingerprint``, ``n_layers`` and ``feat_dim``.
-The bundle is written last, so a directory without it holds no store.
+bundle (see ``radf``) with the (L, N, F) tensor ``vectors`` and meta
+``fingerprint``. The bundle is written last, so a directory without it
+holds no store.
 """
 
 from __future__ import annotations
@@ -57,22 +58,29 @@ class BuildReport:
 
 @dataclass
 class StoreSet:
-    n_layers: int
-    feat_dim: int
     fingerprint: str
     utt_ids: list[str]
     speaker_ids: list[str]
-    vectors: list[np.ndarray]  # per layer, (N, F) float32
-    _norms: list[np.ndarray] = field(init=False, repr=False)
+    vectors: np.ndarray  # (L, N, F) float32
+    _norms: np.ndarray = field(init=False, repr=False)  # (L, N) float64
 
     def __post_init__(self):
-        self._norms = [np.linalg.norm(v.astype(np.float64), axis=1) for v in self.vectors]
-        for layer, norms in enumerate(self._norms):
-            bad = np.flatnonzero(~np.isfinite(norms))  # finite iff the float32 row is
-            if bad.size:
-                raise StoreBuildError(
-                    f"non-finite vector for {self.utt_ids[bad[0]]!r} in layer {layer}"
-                )
+        # layer by layer: a float64 copy of the whole array would be twice its size
+        self._norms = np.empty(self.vectors.shape[:2])
+        for layer, vectors in enumerate(self.vectors):
+            self._norms[layer] = np.linalg.norm(vectors.astype(np.float64), axis=1)
+        bad = np.argwhere(~np.isfinite(self._norms))  # finite iff the float32 row is
+        if bad.size:
+            layer, row = bad[0]
+            raise StoreBuildError(f"non-finite vector for {self.utt_ids[row]!r} in layer {layer}")
+
+    @property
+    def n_layers(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def feat_dim(self) -> int:
+        return self.vectors.shape[2]
 
     @property
     def count(self) -> int:
@@ -140,39 +148,31 @@ def build_stores(
 
     The default filter keeps bonafide records from train/dev/retrieval_extra;
     spoofed records under the bonafide-only filter are skipped and counted.
+    Each embedding is read once, into its row of the (L, N, F) array.
     """
     splits = set(splits)
     report = BuildReport()
-    utt_ids: list[str] = []
-    speaker_ids: list[str] = []
-    rows: list[np.ndarray] = []
+    selected: list[ManifestRecord] = []
     for record in records:
         if record.split not in splits:
             report.n_skipped_split += 1
-            continue
-        if bonafide_only and record.label != LABEL_BONAFIDE:
+        elif bonafide_only and record.label != LABEL_BONAFIDE:
             report.n_skipped_label += 1
-            continue
-        if record.utt_id not in cache.entries:
+        elif record.utt_id not in cache.entries:
             raise StoreBuildError(f"no cached features for {record.utt_id!r}")
-        rows.append(cache.load_embedding(record.utt_id).astype(np.float32))
-        utt_ids.append(record.utt_id)
-        speaker_ids.append(record.speaker_id)
-        report.n_inserted += 1
-
-    if rows:
-        stacked = np.stack(rows, axis=0)  # (N, L, F)
-        vectors = [np.ascontiguousarray(stacked[:, l, :]) for l in range(cache.n_layers)]
-    else:
-        vectors = [
-            np.zeros((0, cache.feat_dim), dtype=np.float32) for _ in range(cache.n_layers)
-        ]
+        else:
+            selected.append(record)
+    report.n_inserted = len(selected)
+    vectors = np.empty((cache.n_layers, len(selected), cache.feat_dim), dtype=np.float32)
+    for row, record in enumerate(selected):
+        embedding = cache.load_embedding(record.utt_id)
+        if embedding.shape != vectors.shape[::2]:  # a (1, F) row would broadcast silently
+            raise StoreBuildError(f"{record.utt_id!r}: embedding shaped {embedding.shape}")
+        vectors[:, row] = embedding
     store = StoreSet(
-        n_layers=cache.n_layers,
-        feat_dim=cache.feat_dim,
         fingerprint=cache.fingerprint,
-        utt_ids=utt_ids,
-        speaker_ids=speaker_ids,
+        utt_ids=[r.utt_id for r in selected],
+        speaker_ids=[r.speaker_id for r in selected],
         vectors=vectors,
     )
     return store, report
@@ -195,23 +195,23 @@ def persist_stores(store: StoreSet, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     rows = enumerate(zip(store.utt_ids, store.speaker_ids))
     write_text(directory / "records.tsv", "".join(f"{i}\t{u}\t{s}\n" for i, (u, s) in rows))
-    meta = {key: str(getattr(store, key)) for key in ("fingerprint", "n_layers", "feat_dim")}
-    layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(store.vectors)}
-    write_tensors(directory / BUNDLE_NAME, layers, meta)
+    meta = {"fingerprint": store.fingerprint}
+    write_tensors(directory / BUNDLE_NAME, {"vectors": store.vectors}, meta)
 
 
 def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
     """Load a persisted StoreSet; optionally enforce the encoder fingerprint."""
     directory = Path(directory)
+    path = directory / BUNDLE_NAME
     try:
-        layers, meta = read_tensors(directory / BUNDLE_NAME)
+        tensors, meta = read_tensors(path)
     except FileNotFoundError:
         raise StoreNotFoundError(f"no store at {directory}") from None
-    try:
-        n_layers, feat_dim = (int(meta[key]) for key in ("n_layers", "feat_dim"))
-        fingerprint = meta["fingerprint"]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{directory / BUNDLE_NAME}: malformed store metadata ({exc})") from None
+    if sorted(tensors) != ["vectors"]:  # the retired layout held one tensor per layer
+        raise FormatError(f"{path}: tensors {sorted(tensors)}; rebuild the store with build-db")
+    fingerprint = meta.get("fingerprint")
+    if fingerprint is None:
+        raise FormatError(f"{path}: malformed store metadata, no fingerprint")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise IncompatibilityError(
             f"store fingerprint {fingerprint} != expected {expected_fingerprint}"
@@ -226,15 +226,7 @@ def load_stores(directory, expected_fingerprint: str | None = None) -> StoreSet:
         raise FormatError(f"{directory}: incomplete store, no records.tsv") from None
     except ValueError:
         raise FormatError(f"{directory}: records.tsv lines need 3 tab-separated fields") from None
-    names = [f"layer{l:02d}" for l in range(n_layers)]
-    shape = (len(utt_ids), feat_dim)
-    if sorted(layers) != names or any(layers[n].shape != shape for n in names):
-        raise FormatError(f"{directory}: expected {n_layers} layers of shape {shape}")
-    return StoreSet(
-        n_layers=n_layers,
-        feat_dim=feat_dim,
-        fingerprint=fingerprint,
-        utt_ids=utt_ids,
-        speaker_ids=speaker_ids,
-        vectors=[layers[n] for n in names],
-    )
+    vectors = tensors["vectors"]
+    if vectors.ndim != 3 or vectors.shape[1] != len(utt_ids):
+        raise FormatError(f"{directory}: vectors {vectors.shape}, not (L, {len(utt_ids)}, F)")
+    return StoreSet(fingerprint, utt_ids, speaker_ids, vectors)

@@ -77,10 +77,8 @@ def test_criterion_1_gradient_integrity():
 def test_criterion_2_retrieval_exactness():
     rng = np.random.default_rng(42)
     n, layers, dim, k = 2000, 4, 32, 10
-    vectors = [rng.standard_normal((n, dim)).astype(np.float32) for _ in range(layers)]
+    vectors = rng.standard_normal((layers, n, dim)).astype(np.float32)
     store = StoreSet(
-        n_layers=layers,
-        feat_dim=dim,
         fingerprint="synthetic",
         utt_ids=[f"u{i}" for i in range(n)],
         speaker_ids=[f"spk{i % 20}" for i in range(n)],

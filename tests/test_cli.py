@@ -76,6 +76,22 @@ def test_retrieve_report(workspace, capsys):
     assert len(lines) == 4  # 3 layers
 
 
+def test_retrieve_report_without_out_prints_it_and_leaves_the_store_as_built(
+    workspace, capsys
+):
+    root, manifest, cache_dir, store_dir = workspace
+    files = lambda: {p.name: p.read_bytes() for p in store_dir.iterdir()}  # noqa: E731
+    before = files()
+    capsys.readouterr()
+    assert main([
+        "retrieve", "--manifest", str(manifest), "--cache", str(cache_dir),
+        "--store", str(store_dir), "--queries", "5",
+    ]) == 0
+    assert files() == before
+    out = capsys.readouterr().out
+    assert out.count("median same-speaker") == 3 and "written" not in out
+
+
 def test_train_eval_baseline_and_rad(workspace, capsys):
     root, manifest, cache_dir, store_dir = workspace
     ck = root / "ck"
@@ -243,7 +259,7 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
     broken = tmp_path / "store"
     shutil.copytree(store_dir, broken)
     tensors, meta = radf.read_tensors(broken / "vectors.radp")
-    del meta["n_layers"]
+    del meta["fingerprint"]
     radf.write_tensors(broken / "vectors.radp", tensors, meta)
     code = main([
         "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
@@ -252,6 +268,26 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_on_a_per_layer_layout_store_fails_with_error_line(workspace, tmp_path, capsys):
+    # the retired store layout: one (N, F) tensor per layer, L and F in the meta
+    root, manifest, cache_dir, store_dir = workspace
+    old = tmp_path / "store"
+    shutil.copytree(store_dir, old)
+    tensors, meta = radf.read_tensors(old / "vectors.radp")
+    layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(tensors["vectors"])}
+    meta.update(n_layers="3", feat_dim="16")
+    radf.write_tensors(old / "vectors.radp", layers, meta)
+    capsys.readouterr()
+    code = main([
+        "eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
+        "--manifest", str(manifest), "--out", str(tmp_path / "x.tsv"),
+        "--cache", str(cache_dir), "--store", str(old),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "build-db" in err
 
 
 def test_eval_missing_checkpoint_fails_with_error_line(workspace, tmp_path, capsys):
@@ -517,6 +553,22 @@ def test_bad_config_key_fails(workspace, tmp_path):
         "--store", str(store_dir), "--config", str(config),
     ])
     assert code == 1
+
+
+def test_config_key_the_command_does_not_declare_fails(workspace, tmp_path, capsys):
+    # ablate has no corpus settings, so n_speakers cannot apply to it
+    root, manifest, _, _ = workspace
+    config = tmp_path / "x.cfg"
+    config.write_text("epochs = 1\nn_speakers = 3\n")
+    capsys.readouterr()
+    code = main([
+        "ablate", "--manifest", str(manifest), "--workdir", str(tmp_path / "w"),
+        "--seeds", "0", "--config", str(config),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ablate" in err and "'n_speakers'" in err
+    assert not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize("utt_id", ["a/b", "../../../escaped"])

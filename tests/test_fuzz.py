@@ -30,12 +30,10 @@ def _feature(tmp_path):
 def _store(tmp_path):
     rng = np.random.default_rng(102)
     store = StoreSet(
-        n_layers=2,
-        feat_dim=3,
         fingerprint="fuzz",
         utt_ids=["a", "b", "c", "d"],
         speaker_ids=["s0", "s1", "s0", "s1"],
-        vectors=[rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2)],
+        vectors=rng.standard_normal((2, 4, 3)).astype(np.float32),
     )
     persist_stores(store, tmp_path / "store")
     return tmp_path / "store" / "vectors.radp", lambda: load_stores(tmp_path / "store")

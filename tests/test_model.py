@@ -3,7 +3,7 @@ import pytest
 
 from radspoof import encoder, model, nn, vecstore
 from radspoof.cli import mfa_grad_check, radmfa_grad_check
-from radspoof.corpus import CorpusConfig, write_corpus
+from radspoof.corpus import CorpusConfig, load_segment, write_corpus
 from radspoof.encoder import EncoderConfig, extract_and_cache, mel_frames
 from radspoof.errors import ConfigurationError, FeatureLoadError, FormatError, InvalidInputError
 from radspoof.metrics import pooled_eer
@@ -192,13 +192,27 @@ def tiny_setup(tmp_path_factory):
 
 def test_baseline_forward_contract(tiny_setup):
     root, records, encoder_cfg, _, _ = tiny_setup
-    from radspoof.corpus import load_segment
-
     mels = np.stack([mel_frames(load_segment(root, r).samples, 16) for r in records[:5]])
     rng = np.random.default_rng(14)
     params = init_baseline(3, 16, rng)
     logits = baseline_forward(mels, params, encoder_cfg, tau=10)
     assert logits.data.shape == (5, 2)
+
+
+def test_baseline_batch_gathers_each_records_log_mel(tiny_setup, monkeypatch):
+    root, records, encoder_cfg, _, _ = tiny_setup
+    served = records[:10]
+    reads = []
+    monkeypatch.setattr(model, "load_segment", lambda d, r: reads.append(r) or load_segment(d, r))
+    runner = model._BaselineRunner(served, root, encoder_cfg, TrainHyper())
+    assert reads == served  # one read per record, when the runner is built
+    batches = []
+    monkeypatch.setattr(model, "baseline_forward", lambda mels, *rest: batches.append(mels))
+    batch = [served[7], served[2], served[7]]
+    runner.logits(batch)
+    assert len(reads) == len(served)
+    expected = np.stack([mel_frames(load_segment(root, r).samples, 16) for r in batch])
+    assert batches[0].dtype == np.float64 and np.array_equal(batches[0], expected)
 
 
 def test_untrained_eer_near_chance(tiny_setup):

@@ -20,12 +20,10 @@ def make_store(vectors_per_layer, utt_ids=None, speaker_ids=None):
     utt_ids = utt_ids or [f"u{i}" for i in range(n)]
     speaker_ids = speaker_ids or [f"spk{i % 3}" for i in range(n)]
     return StoreSet(
-        n_layers=len(vectors_per_layer),
-        feat_dim=vectors_per_layer[0].shape[1],
         fingerprint="test",
         utt_ids=utt_ids,
         speaker_ids=speaker_ids,
-        vectors=[np.asarray(v, dtype=np.float32) for v in vectors_per_layer],
+        vectors=np.stack([np.asarray(v, dtype=np.float32) for v in vectors_per_layer]),
     )
 
 
@@ -194,8 +192,43 @@ def test_build_filters_bonafide_only(cached_corpus):
     assert report.n_skipped_label == sum(
         1 for r in records if r.split == "train" and r.label == "spoof"
     )
-    for vectors in store.vectors:
-        assert vectors.shape[0] == store.count
+    assert store.vectors.shape == (cache.n_layers, store.count, cache.feat_dim)
+    assert store.vectors.dtype == np.float32
+    assert (store.n_layers, store.feat_dim) == (cache.n_layers, cache.feat_dim)
+
+
+def test_each_layer_holds_that_layer_of_the_cached_embeddings(cached_corpus):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    embeddings = np.stack([cache.load_embedding(u) for u in store.utt_ids])  # (N, L, F)
+    for layer in range(store.n_layers):
+        assert np.array_equal(store.vectors[layer], embeddings[:, layer])
+
+
+def test_build_with_nothing_selected_is_an_empty_store_that_round_trips(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, report = build_stores(records, cache, splits={"no_such_split"})
+    assert report.n_inserted == 0 and report.n_skipped_split == len(records)
+    assert store.vectors.shape == (cache.n_layers, 0, cache.feat_dim)
+    persist_stores(store, tmp_path)
+    assert b"\ntensor vectors 3,0,16\nend\n" in (tmp_path / "vectors.radp").read_bytes()
+    loaded = load_stores(tmp_path, expected_fingerprint=cache.fingerprint)
+    assert loaded.vectors.shape == (cache.n_layers, 0, cache.feat_dim)
+    assert (loaded.count, loaded.n_layers, loaded.feat_dim) == (0, 3, 16)
+    result = loaded.query_topk(np.ones((3, 16)), k=2)
+    assert result.hits == [[], [], []] and result.truncated
+
+
+def test_build_refuses_an_embedding_of_another_shape(cached_corpus, tmp_path):
+    # one row per layer is filled in place, so a (1, F) embedding would broadcast
+    records, cache = cached_corpus
+    shutil.copytree(cache.root, tmp_path / "cache")
+    cache = CacheIndex.load(tmp_path / "cache")
+    victim = _bonafide_train_utt(records)
+    embedding = cache.load_embedding(victim)[:1]
+    radf.write_feature(cache.embedding_path(victim), embedding, radf.KIND_EMBEDDING)
+    with pytest.raises(StoreBuildError, match=victim):
+        build_stores(records, cache)
 
 
 def test_extra_split_grows_store(cached_corpus):
@@ -273,18 +306,27 @@ def test_persist_twice_gives_identical_directories(cached_corpus, tmp_path):
 def test_store_directory_is_records_plus_one_radp_bundle(tmp_path):
     layer0 = np.arange(6, dtype=np.float32).reshape(3, 2)
     layer1 = -layer0
-    persist_stores(make_store([layer0, layer1], utt_ids=["a", "b", "c"]), tmp_path)
+    store = make_store([layer0, layer1], utt_ids=["a", "b", "c"])
+    persist_stores(store, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.tsv", "vectors.radp"]
     assert (tmp_path / "records.tsv").read_text() == "0\ta\tspk0\n1\tb\tspk1\n2\tc\tspk2\n"
-    header = (
-        "RADP 1\nmeta feat_dim 2\nmeta fingerprint test\nmeta n_layers 2\n"
-        "tensor layer00 3,2\ntensor layer01 3,2\nend\n"
-    ).encode()
-    payloads = b"".join(
-        raw + struct.pack("<I", zlib.crc32(raw))
-        for raw in (layer0.astype("<f4").tobytes(), layer1.astype("<f4").tobytes())
-    )
-    assert (tmp_path / "vectors.radp").read_bytes() == header + payloads
+    header = b"RADP 1\nmeta fingerprint test\ntensor vectors 2,3,2\nend\n"
+    payload = store.vectors.tobytes()
+    assert payload == layer0.tobytes() + layer1.tobytes()  # layer-major
+    blob = (tmp_path / "vectors.radp").read_bytes()
+    assert blob == header + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_parent_layout_bundle_is_format_error(cached_corpus, tmp_path):
+    # the retired layout: one (N, F) tensor per layer, with L and F also in the meta
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    layers = {f"layer{l:02d}": vectors for l, vectors in enumerate(store.vectors)}
+    meta = {"fingerprint": store.fingerprint, "n_layers": "3", "feat_dim": "16"}
+    radf.write_tensors(tmp_path / "vectors.radp", layers, meta)
+    with pytest.raises(FormatError, match="build-db"):
+        load_stores(tmp_path, expected_fingerprint=cache.fingerprint)
 
 
 def test_bundle_with_the_retired_tau_meta_key_still_loads(cached_corpus, tmp_path):
@@ -307,7 +349,7 @@ def _rewrite_bundle(directory, edit):
     radf.write_tensors(directory / "vectors.radp", tensors, meta)
 
 
-@pytest.mark.parametrize("drop", ["n_layers", "fingerprint"])
+@pytest.mark.parametrize("drop", ["fingerprint"])
 def test_load_meta_missing_key_is_format_error(cached_corpus, tmp_path, drop):
     records, cache = cached_corpus
     store, _ = build_stores(records, cache)
@@ -339,11 +381,12 @@ def test_store_without_bundle_is_not_found(cached_corpus, tmp_path):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda tensors, meta: tensors.pop("layer01"),
-        lambda tensors, meta: tensors.update(layer01=tensors["layer01"][:-1]),
-        lambda tensors, meta: meta.update(feat_dim="3"),
+        lambda tensors, meta: tensors.pop("vectors"),
+        lambda tensors, meta: tensors.update(vectors=tensors["vectors"][:, :-1]),
+        lambda tensors, meta: tensors.update(vectors=tensors["vectors"][0]),
+        lambda tensors, meta: tensors.update(extra=np.zeros(1)),
     ],
-    ids=["missing_layer", "short_layer", "wrong_feat_dim"],
+    ids=["no_vectors_tensor", "short_layer", "wrong_rank", "extra_tensor"],
 )
 def test_load_bundle_disagreeing_with_records_is_format_error(cached_corpus, tmp_path, edit):
     records, cache = cached_corpus
@@ -376,7 +419,7 @@ def test_non_finite_persisted_row_fails_load(cached_corpus, tmp_path):
     persist_stores(store, tmp_path)
     victim = _bonafide_train_utt(records)
     row = store.utt_ids.index(victim)
-    _rewrite_bundle(tmp_path, lambda tensors, meta: tensors["layer01"].__setitem__(row, np.inf))
+    _rewrite_bundle(tmp_path, lambda tensors, meta: tensors["vectors"][1].__setitem__(row, np.inf))
     with pytest.raises(StoreBuildError, match=victim):
         load_stores(tmp_path)
 
