@@ -270,6 +270,31 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["eval", "retrieve"])
+def test_store_repeating_an_utt_id_fails_with_error_line(workspace, tmp_path, capsys, command):
+    root, manifest, cache_dir, store_dir = workspace
+    broken = tmp_path / "store"
+    shutil.copytree(store_dir, broken)
+    path = broken / "records.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    first = lines[0].split("\t")[1]
+    index, _, speaker = lines[1].split("\t")
+    lines[1] = f"{index}\t{first}\t{speaker}"
+    path.write_text("".join(lines))
+    argv = {
+        "eval": ["eval", "--kind", "radmfa", "--checkpoint", "nope.ckpt",
+                 "--out", str(tmp_path / "x.tsv")],
+        "retrieve": ["retrieve", "--utt", first, "--k", "3"],
+    }[command]
+    capsys.readouterr()
+    code = main(argv + [
+        "--manifest", str(manifest), "--cache", str(cache_dir), "--store", str(broken),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{first!r} more than once" in err
+
+
 def test_eval_on_a_per_layer_layout_store_fails_with_error_line(workspace, tmp_path, capsys):
     # the retired store layout: one (N, F) tensor per layer, L and F in the meta
     root, manifest, cache_dir, store_dir = workspace

@@ -1,4 +1,3 @@
-import math
 import shutil
 import struct
 import zlib
@@ -27,22 +26,35 @@ def make_store(vectors_per_layer, utt_ids=None, speaker_ids=None):
     )
 
 
-def brute_force_topk(vectors, utt_ids, query, k, exclude=frozenset()):
-    """Independent oracle: python-loop cosine over every record, then sort."""
-    scored = []
-    for idx in range(vectors.shape[0]):
-        if utt_ids[idx] in exclude:
-            continue
-        v = np.asarray(vectors[idx], dtype=np.float64)
-        norm = math.sqrt(float(np.dot(v, v)))
-        q = np.asarray(query, dtype=np.float64)
-        q_norm = math.sqrt(float(np.dot(q, q)))
-        if norm == 0.0:
-            continue
-        sim = float(np.dot(v, q)) / (norm * q_norm) if q_norm > 0 else 0.0
-        scored.append((-sim, idx))
-    scored.sort()
-    return [idx for _, idx in scored[:k]]
+def reference_topk(vectors, utt_ids, query, k, exclude=frozenset()):
+    """Independent reference: per layer, the exact top-k as [(row, similarity)].
+
+    Every candidate is rescored on its own in float64 against np.linalg.norm
+    norms, then all of them go through one full lexsort (-similarity, row).
+    """
+    out = []
+    for layer_vectors, q in zip(np.asarray(vectors), np.asarray(query, dtype=np.float64)):
+        rows = layer_vectors.astype(np.float64)
+        norms = np.linalg.norm(rows, axis=1)
+        q_norm = np.linalg.norm(q)
+        cand = np.array(
+            [i for i, u in enumerate(utt_ids) if norms[i] > 0 and u not in exclude], dtype=int
+        )
+        sims = np.array(
+            [(rows[i] * q).sum() / (norms[i] * q_norm) if q_norm > 0 else 0.0 for i in cand]
+        )
+        order = np.lexsort((cand, -sims))[:k]
+        out.append([(int(cand[j]), float(sims[j])) for j in order])
+    return out
+
+
+def hit_rows(store, result):
+    """A QueryResult as per-layer [(row, similarity)], checking ranks and layers."""
+    out = []
+    for layer, hits in enumerate(result.hits):
+        assert [(h.layer, h.rank) for h in hits] == [(layer, r) for r in range(1, len(hits) + 1)]
+        out.append([(store.utt_ids.index(h.segment_ref), h.similarity) for h in hits])
+    return out
 
 
 def test_self_similarity_rank_one():
@@ -73,10 +85,8 @@ def test_matches_brute_force_oracle():
         query = rng.standard_normal((layers, dim))
         exclude = {f"u{rng.integers(0, n)}"}
         result = store.query_topk(query, k=10, exclude=exclude)
-        for layer in range(layers):
-            expected = brute_force_topk(vectors[layer], store.utt_ids, query[layer], 10, exclude)
-            got = [store.utt_ids.index(h.segment_ref) for h in result.hits[layer]]
-            assert got == expected
+        expected = reference_topk(store.vectors, store.utt_ids, query, 10, exclude)
+        assert hit_rows(store, result) == expected
 
 
 def test_tie_break_by_insertion_index():
@@ -147,6 +157,107 @@ def test_non_finite_row_or_query_is_error(bad):
     query[0, 3] = bad
     with pytest.raises(QueryError):
         store.query_topk(query, k=1)
+
+
+def test_duplicate_utt_id_is_refused():
+    with pytest.raises(StoreBuildError, match="'a' is in more than one row"):
+        make_store([np.ones((3, 4))], utt_ids=["a", "b", "a"])
+
+
+def test_str_exclude_is_query_error():
+    # set("u1") would quietly exclude the ids "u" and "1"
+    store = make_store([np.eye(4)], utt_ids=["u", "1", "u1", "x"])
+    with pytest.raises(QueryError, match="'u1'"):
+        store.query_topk(np.ones((1, 4)), k=1, exclude="u1")
+
+
+def test_exact_copy_in_the_tail_rows_ties_bit_for_bit_with_the_original():
+    # a dgemv over the gathered candidates scored the last N mod 4 rows with
+    # another kernel, so a copy there could rank ahead of its original
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = 4 * int(rng.integers(1, 75)) + 3
+        vectors = rng.standard_normal((n, 32)).astype(np.float32)
+        vectors[-1] = vectors[0]
+        store = make_store([vectors])
+        query = vectors[:1].astype(np.float64) + 0.1 * rng.standard_normal((1, 32))
+        hits = store.query_topk(query, k=2).hits[0]
+        assert [h.segment_ref for h in hits] == ["u0", f"u{n - 1}"], seed
+        assert hits[0].similarity == hits[1].similarity, seed
+
+
+def test_three_copies_with_k_two_return_the_two_lowest_indices():
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((11, 32)).astype(np.float32)
+    vectors[[6, 10]] = vectors[3]
+    store = make_store([vectors])
+    query = vectors[3][None].astype(np.float64) + 1e-3 * rng.standard_normal((1, 32))
+    hits = store.query_topk(query, k=2).hits[0]
+    assert [h.segment_ref for h in hits] == ["u3", "u6"]
+    assert hits[0].similarity == hits[1].similarity
+
+
+def _random_case(rng):
+    """A store and query with duplicates, zero rows and near-parallel clusters."""
+    n, f = int(rng.integers(1, 301)), int(rng.choice([8, 16, 32]))
+    vectors = rng.standard_normal((2, n, f))
+    if rng.random() < 0.3:  # a cluster parallel to within float32 resolution
+        members = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        spread = 10.0 ** rng.uniform(-9, -5)
+        centre = rng.standard_normal(f)
+        vectors[:, members] = centre + spread * rng.standard_normal((2, members.size, f))
+    vectors = (vectors * 10.0 ** rng.uniform(-30, 30)).astype(np.float32)
+    for _ in range(int(rng.integers(0, 4))):  # exact copies, often in the last rows
+        dst = n - 1 - int(rng.integers(0, min(n, 4))) if rng.random() < 0.5 else rng.integers(0, n)
+        vectors[:, dst] = vectors[:, rng.integers(0, n)]
+    if rng.random() < 0.3:
+        vectors[:, rng.integers(0, n, int(rng.integers(1, 4)))] = 0.0
+    if rng.random() < 0.5:  # a store member, so it and its copies rank first
+        query = vectors[:, rng.integers(0, n)].astype(np.float64)
+    else:
+        query = rng.standard_normal((2, f)) * 10.0 ** rng.uniform(-30, 30)
+    if rng.random() < 0.05:
+        query[:] = 0.0
+    k = int(rng.integers(1, n + 5))
+    exclude = {f"u{i}" for i in rng.integers(0, n + 10, int(rng.integers(0, 4)))}
+    return vectors, query, k, exclude
+
+
+def test_topk_equals_the_reference_on_random_stores():
+    rng = np.random.default_rng(20)
+    for case in range(1500):
+        vectors, query, k, exclude = _random_case(rng)
+        store = make_store(list(vectors))
+        result = store.query_topk(query, k=k, exclude=exclude)
+        expected = reference_topk(vectors, store.utt_ids, query, k, exclude)
+        assert hit_rows(store, result) == expected, case
+        assert result.truncated == any(len(hits) < k for hits in expected), case
+
+
+def test_subnormal_rows_are_ranked_exactly():
+    # float32 products of subnormal rows lose relative precision; the screen
+    # bound's underflow term must still keep every row that can make the cut
+    rng = np.random.default_rng(8)
+    base = rng.integers(-1000, 1000, 8)
+    ulps = base + rng.integers(-2, 3, (60, 8))  # near-parallel, in units of 2**-149
+    vectors = (ulps * 2.0**-149).astype(np.float32)
+    assert np.array_equal(vectors.astype(np.float64) / 2.0**-149, ulps)
+    store = make_store([vectors])
+    for row in range(10):
+        query = vectors[row][None].astype(np.float64)
+        result = store.query_topk(query, k=5)
+        assert hit_rows(store, result) == reference_topk(store.vectors, store.utt_ids, query, 5)
+
+
+def test_row_whose_float32_screen_overflows_is_rescored():
+    # the float32 dot product of row 0 overflows to inf, which bounds nothing
+    query = np.array([[1.0] * 16 + [0.5] * 16])
+    vectors = np.stack([np.full(32, 3e38), query[0], -query[0]]).astype(np.float32)
+    store = make_store([vectors])
+    hits = store.query_topk(query, k=1).hits[0]
+    assert [h.segment_ref for h in hits] == ["u1"]
+    hits = store.query_topk(-query, k=2).hits[0]  # and here to -inf
+    assert [h.segment_ref for h in hits] == ["u2", "u0"]
 
 
 def test_speaker_consistency_fractions():
@@ -421,6 +532,18 @@ def test_non_finite_persisted_row_fails_load(cached_corpus, tmp_path):
     row = store.utt_ids.index(victim)
     _rewrite_bundle(tmp_path, lambda tensors, meta: tensors["vectors"][1].__setitem__(row, np.inf))
     with pytest.raises(StoreBuildError, match=victim):
+        load_stores(tmp_path)
+
+
+def test_load_records_repeating_an_utt_id_is_format_error(cached_corpus, tmp_path):
+    records, cache = cached_corpus
+    store, _ = build_stores(records, cache)
+    persist_stores(store, tmp_path)
+    path = tmp_path / "records.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = f"1\t{store.utt_ids[0]}\t{store.speaker_ids[1]}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError, match=f"{store.utt_ids[0]!r} more than once"):
         load_stores(tmp_path)
 
 
