@@ -238,10 +238,14 @@ def _assign_plan(cfg: CorpusConfig) -> list[tuple[int, int, str, str, str | None
 
 def synthesize_corpus(cfg: CorpusConfig) -> tuple[list[AudioClip], list[ManifestRecord]]:
     """Generate the corpus in memory; audio paths are wav/<utt_id>.wav."""
+    pairs = list(_synthesize(cfg))
+    return [clip for clip, _ in pairs], [record for _, record in pairs]
+
+
+def _synthesize(cfg: CorpusConfig):
+    """Yield (clip, record) one clip at a time, so a caller need not hold them all."""
     cfg.validate()
     lo, hi = DURATION_RANGE
-    clips: list[AudioClip] = []
-    records: list[ManifestRecord] = []
     profiles = [_speaker_profile(cfg.seed, s) for s in range(cfg.n_speakers)]
     for spk, clip_idx, split, label, method in _assign_plan(cfg):
         rng = _rng(cfg.seed, 7003, spk, clip_idx)
@@ -254,11 +258,7 @@ def synthesize_corpus(cfg: CorpusConfig) -> tuple[list[AudioClip], list[Manifest
         speaker_id = f"spk{spk:02d}"
         clip = AudioClip(utt_id, speaker_id, label, method, x.astype(np.float32))
         clip.validate()
-        clips.append(clip)
-        records.append(
-            ManifestRecord(utt_id, speaker_id, label, method, f"wav/{utt_id}.wav", split)
-        )
-    return clips, records
+        yield clip, ManifestRecord(utt_id, speaker_id, label, method, f"wav/{utt_id}.wav", split)
 
 
 def segment_clip(clip: AudioClip) -> AudioClip:
@@ -303,11 +303,13 @@ def read_wav(path) -> np.ndarray:
 
 
 def write_corpus(cfg: CorpusConfig, out_dir) -> tuple[list[ManifestRecord], Path]:
-    """Synthesize and write WAVs plus manifest.tsv under out_dir."""
+    """Synthesize and write WAVs plus manifest.tsv under out_dir, each WAV as
+    soon as its clip is made."""
     out_dir = Path(out_dir)
-    clips, records = synthesize_corpus(cfg)
-    for clip, record in zip(clips, records):
+    records = []
+    for clip, record in _synthesize(cfg):
         write_wav(out_dir / record.audio_path, clip.samples)
+        records.append(record)
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(manifest_path, records)
     return records, manifest_path

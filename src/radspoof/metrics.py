@@ -9,6 +9,7 @@ stable on small evaluation sets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,12 +45,11 @@ def det_points(records: list[ScoreRecord]) -> list[tuple[float, float, float]]:
         raise MetricUndefinedError("need at least one bonafide and one spoof score")
     thresholds = sorted(set(bona) | set(spoof))
     thresholds.append(thresholds[-1] + 1.0)
-    points = []
-    for t in thresholds:
-        far = sum(1 for s in spoof if s >= t) / len(spoof)
-        frr = sum(1 for s in bona if s < t) / len(bona)
-        points.append((t, far, frr))
-    return points
+    # bisect_left counts the scores below t in a sorted list
+    return [
+        (t, (len(spoof) - bisect_left(spoof, t)) / len(spoof), bisect_left(bona, t) / len(bona))
+        for t in thresholds
+    ]
 
 
 def pooled_eer(records: list[ScoreRecord]) -> EerResult:

@@ -490,6 +490,8 @@ def score_dataset(
             )
         runner = _RadRunner(store, cache, hyper, kind == "just_difference")
     runner.param_set.load_arrays(arrays)
+    for tensor in runner.param_set.tensors.values():  # scoring never calls backward: no tape
+        tensor.requires_grad = False
     if not records:
         raise InvalidInputError("no records to score")
     return _scores(runner, records, SCORE_BATCH)

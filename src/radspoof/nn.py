@@ -1,9 +1,10 @@
 """Minimal reverse-mode kernel: just the ops the detection models need.
 
 Tensors wrap float64 numpy arrays and record a tape of vector-Jacobian
-callbacks. `backward` walks the tape once in reverse topological order.
-This is deliberately not a general autodiff system; the op set below is
-the whole vocabulary.
+callbacks, with edges only to tensors that need a gradient: scoring, whose
+parameters need none, records no tape. `backward` walks the tape once in
+reverse topological order. This is deliberately not a general autodiff
+system; the op set below is the whole vocabulary.
 
 Attentive statistics pooling (asp) reduces axis -2 of an (..., N, D) input
 to attention-weighted mean and standard deviation, concatenated to 2D.
@@ -30,11 +31,10 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        # (parent, fn) pairs; fn maps this node's cotangent to the parent's
-        self._vjps = tuple(_vjps)
-        # an op output needs a gradient only if some input does, so backward
-        # skips subgraphs built from constants alone
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p, _ in self._vjps)
+        # (parent, fn) pairs, fn mapping this node's cotangent to the parent's;
+        # only a parent that needs a gradient gets an edge
+        self._vjps = tuple((p, fn) for p, fn in _vjps if p.requires_grad)
+        self.requires_grad = bool(requires_grad) or bool(self._vjps)
 
     @property
     def shape(self):
@@ -57,20 +57,15 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent, _ in node._vjps:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.asarray(cotangent, dtype=np.float64).reshape(self.data.shape)
-        for node in reversed(order):
-            if node.grad is None:
-                continue
+        for node in reversed(order):  # each is an earlier node's parent, so its grad is set
             for parent, fn in node._vjps:
-                if not parent.requires_grad:
-                    continue
                 contribution = fn(node.grad)
-                if parent.grad is None:
-                    parent.grad = contribution.copy()
-                else:
-                    parent.grad = parent.grad + contribution
+                # uncopied: no VJP writes into its cotangent, `+` makes a new array, and
+                # adam_step, grad_check, clone_arrays and zero_grad only read or rebind .grad
+                parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
 def constant(data) -> Tensor:
@@ -178,7 +173,7 @@ def sum_axis(a, axis: int) -> Tensor:
     out = a.data.sum(axis=axis)
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)  # a read-only view
 
     return Tensor(out, _vjps=((a, vjp),))
 

@@ -6,7 +6,8 @@ Utt_ids are unique within a store; a store that repeats one is refused.
 Search is an exact cosine top-K: similarities are ranked descending with
 ties broken by ascending insertion index, so results are total-ordered and
 reproducible. Zero-norm vectors are never retrieved; a non-finite vector
-(built or loaded) or query is refused.
+(built or loaded) or query is refused. A finite query of any magnitude is
+ranked as its direction: each layer is first scaled, exactly, by a power of two.
 
 Each layer is searched in two passes. A float32 screen scores every row
 straight from the (L, N, F) array, and a per-row error bound turns each
@@ -122,6 +123,10 @@ class StoreSet:
             raise QueryError("query has non-finite values")
         if isinstance(exclude, str):  # set("u1") would exclude "u" and "1"
             raise QueryError(f"exclude must be a collection of utt_ids, not the str {exclude!r}")
+        # each layer scaled by a power of two to a largest |q_j| in [0.5, 1), so q . q can
+        # neither overflow nor underflow; exact, so cosines keep their bits, unless it
+        # pushes a component below the normal range (2^1021 under the largest)
+        query = np.ldexp(query, -np.frexp(np.abs(query).max(axis=1, keepdims=True))[1])
         excluded = [self._row[u] for u in exclude if u in self._row]
         per_layer: list[list[RetrievalHit]] = []
         truncated = False
@@ -186,9 +191,9 @@ def _screen_bound(norms: np.ndarray, feat_dim: int) -> np.ndarray:
     terms and |u'| > 1, and the float64 similarity is itself within about
     F 2^-53 of the real cosine, so doubling the sum bounds the distance
     between the two computed values with room to spare. The derivation
-    takes |q| as computed to be |q| to float64 accuracy, which holds while
-    q . q neither underflows nor overflows (|q| between about 1e-154 and
-    1e154). Zero-norm rows get an infinite bound; they are never candidates.
+    takes |q| as computed to be |q| to float64 accuracy, which the
+    power-of-two scaling in ``query_topk`` guarantees. Zero-norm rows get an
+    infinite bound; they are never candidates.
     """
     with np.errstate(divide="ignore"):
         return 2.0 * ((feat_dim + 2) * 2.0**-24 + feat_dim * 2.0**-149 / norms)

@@ -251,7 +251,7 @@ def test_eval_missing_store_fails_with_error_line(workspace, tmp_path, capsys):
         "--cache", str(cache_dir), "--store", str(tmp_path / "missing"),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: no store at {tmp_path / 'missing'}")
 
 
 def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, capsys):
@@ -267,7 +267,8 @@ def test_eval_malformed_store_meta_fails_with_error_line(workspace, tmp_path, ca
         "--cache", str(cache_dir), "--store", str(broken),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed store metadata, no fingerprint" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "retrieve"])

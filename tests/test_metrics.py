@@ -31,6 +31,20 @@ def sweep_oracle(bona, spoof):
     return best[1]
 
 
+def det_points_oracle(records):
+    """det_points as a rescan of both score lists at every threshold."""
+    bona = sorted(r.score for r in records if r.label == "bonafide")
+    spoof = sorted(r.score for r in records if r.label == "spoof")
+    thresholds = sorted(set(bona) | set(spoof))
+    thresholds.append(thresholds[-1] + 1.0)
+    points = []
+    for t in thresholds:
+        far = sum(1 for s in spoof if s >= t) / len(spoof)
+        frr = sum(1 for s in bona if s < t) / len(bona)
+        points.append((t, far, frr))
+    return points
+
+
 def test_perfectly_separated_zero():
     result = pooled_eer(recs([0.9, 0.8], [0.1, 0.2]))
     assert result.eer == 0.0
@@ -91,6 +105,18 @@ def test_eer_bounds_random():
 def test_threshold_is_crossing_point():
     result = pooled_eer(recs([0.9, 0.8, 0.3], [0.7, 0.2, 0.1]))
     assert result.threshold == 0.7
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_det_points_match_the_rescan_oracle_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    n_bona, n_spoof = rng.integers(1, 60, 2)
+    # few distinct values, so ties within and across the classes are common
+    values = rng.standard_normal(int(rng.integers(1, 12)))
+    bona = rng.choice(values, n_bona).tolist()
+    spoof = (rng.choice(values, n_spoof) - 0.5 * rng.integers(0, 2, n_spoof)).tolist()
+    records = recs(bona, spoof)
+    assert det_points(records) == det_points_oracle(records)
 
 
 def test_single_class_undefined():

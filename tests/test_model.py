@@ -301,6 +301,26 @@ def test_scoring_deterministic_and_k_sensitive(tiny_setup, tmp_path):
         )
 
 
+@pytest.mark.parametrize("kind", ["baseline", "radmfa"])
+def test_scoring_records_no_tape(tiny_setup, tmp_path, monkeypatch, kind):
+    root, records, encoder_cfg, cache, store = tiny_setup
+    retrieval = {} if kind == "baseline" else {"store": store, "cache": cache}
+    hyper = TrainHyper(lr=3e-4, batch_size=12, epochs=1, seed=8, k_refs=5, tau=10)
+    trained = train_model(kind, records, root, encoder_cfg, hyper, tmp_path, **retrieval)
+    forward = getattr(model, f"{kind}_forward")
+    outputs = []
+
+    def spy(*args):
+        outputs.append(forward(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, f"{kind}_forward", spy)
+    eval_records = [r for r in records if r.split == "eval"]
+    score_dataset(kind, trained.checkpoint_path, eval_records, root, **retrieval)
+    assert outputs
+    assert all(not out.requires_grad and out._vjps == () for out in outputs)
+
+
 def test_scoring_with_a_cache_missing_store_members_is_feature_load_error(tiny_setup, tmp_path):
     root, records, encoder_cfg, cache, store = tiny_setup
     hyper = TrainHyper(lr=3e-4, batch_size=12, epochs=1, seed=6, k_refs=5, tau=10)

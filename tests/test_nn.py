@@ -247,6 +247,67 @@ def test_block_mean_ragged_gradient():
     assert nn.grad_check(lambda a: nn.block_mean(a, 3, axis=1), [z]) < 1e-6
 
 
+# --- tape ----------------------------------------------------------------------------
+
+
+def test_edges_only_to_tensors_that_need_a_gradient():
+    w = nn.parameter(np.ones(3))
+    c = nn.constant(np.full(3, 2.0))
+    mixed = nn.mul(w, c)
+    assert mixed.requires_grad and [p for p, _ in mixed._vjps] == [w]
+    frozen = nn.tanh(nn.mul(c, c))
+    assert not frozen.requires_grad and frozen._vjps == ()
+    w.requires_grad = False  # as scoring sets its loaded parameters
+    assert nn.mul(w, c)._vjps == ()
+
+
+def _every_op():
+    """name -> (fn, input arrays): each op of the kernel with its VJP last on the tape."""
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((2, 4, 3)), rng.standard_normal(3)
+    w, b = rng.standard_normal((3, 5)), rng.standard_normal(5)
+    asp = lambda h, aw, ab, sw, sb: nn.asp(h, nn.AspParams(aw, ab, sw, sb))
+    return {
+        "add": (nn.add, [x, y]),
+        "sub": (nn.sub, [x, y]),
+        "mul": (nn.mul, [x, y]),
+        "tanh": (nn.tanh, [x]),
+        "sqrt": (nn.sqrt, [np.abs(x) + 0.5]),
+        "affine": (nn.affine, [x, w, b]),
+        "softmax": (lambda a: nn.softmax(a, axis=1), [x]),
+        "sum_axis": (lambda a: nn.sum_axis(a, axis=1), [x]),
+        "reshape": (lambda a: nn.reshape(a, (8, 3)), [x]),
+        "concat": (lambda a, c: nn.concat([a, c], axis=1), [x, x[:, :2]]),
+        "stack": (lambda a, c: nn.stack([a, c], axis=1), [x, -x]),
+        "index_axis": (lambda a: nn.index_axis(a, 2, axis=1), [x]),
+        "narrow": (lambda a: nn.narrow(a, axis=1, start=1, length=2), [x]),
+        "block_mean": (lambda a: nn.block_mean(a, 3, axis=1), [x]),
+        "asp": (asp, [x, rng.standard_normal((3, 2)), np.zeros(2),
+                      rng.standard_normal((2, 1)), np.zeros(1)]),
+        "softmax_xent": (lambda a: nn.softmax_xent(a, [0, 2, 1, 1]), [x[0]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_every_op()))
+def test_no_vjp_writes_into_its_cotangent(name):
+    # backward keeps contributions uncopied; that is sound only while no VJP
+    # writes into the cotangent it is given, here a read-only array
+    fn, inputs = _every_op()[name]
+    cot = np.random.default_rng(17).standard_normal(fn(*inputs).shape)
+
+    def leaf_grads(cotangent):
+        leaves = [nn.parameter(x) for x in inputs]
+        fn(*leaves).backward(cotangent)
+        return [leaf.grad for leaf in leaves]
+
+    frozen = cot.copy()
+    frozen.setflags(write=False)
+    writeable = cot.copy()
+    for from_frozen, from_writeable in zip(leaf_grads(frozen), leaf_grads(writeable)):
+        assert np.array_equal(from_frozen, from_writeable)
+    assert np.array_equal(writeable, cot)
+
+
 # --- adam -------------------------------------------------------------------------
 
 

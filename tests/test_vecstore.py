@@ -249,6 +249,22 @@ def test_subnormal_rows_are_ranked_exactly():
         assert hit_rows(store, result) == reference_topk(store.vectors, store.utt_ids, query, 5)
 
 
+def test_query_whose_square_overflows_or_underflows_ranks_like_its_rescaling():
+    # q . q of these finite queries overflows or underflows float64; a query
+    # scaled by a power of two must rank and score exactly as the query itself
+    store = make_store([np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])])
+
+    def hits(q):
+        result = store.query_topk(np.array([q], dtype=np.float64), k=3)
+        return [(h.segment_ref, h.similarity) for h in result.hits[0]]
+
+    assert [u for u, _ in hits([1e200, 0.0])] == ["u0", "u2", "u1"]
+    assert [u for u, _ in hits([1e-170, 3e-170])] == ["u1", "u2", "u0"]
+    for q in ([1.0, 0.0], [1.0, 3.0], [-2.0, 0.5]):
+        for exponent in (-1070, -600, -540, 540, 600, 1000):
+            assert hits(np.ldexp(q, exponent)) == hits(q), (q, exponent)
+
+
 def test_row_whose_float32_screen_overflows_is_rescored():
     # the float32 dot product of row 0 overflows to inf, which bounds nothing
     query = np.array([[1.0] * 16 + [0.5] * 16])
