@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics, model, nn, pipeline, vecstore
 from .corpus import CorpusConfig, read_manifest, write_corpus
 from .encoder import CacheIndex, EncoderConfig, extract_and_cache
-from .errors import ConfigurationError, IncompatibilityError, RadspoofError
+from .errors import ConfigurationError, IncompatibilityError, InvalidInputError, RadspoofError
 from .model import TrainHyper
 
 _CONFIG_KEYS = {
@@ -211,8 +211,10 @@ def _cmd_retrieve(args) -> int:
     records = read_manifest(args.manifest)
     cache, store = _retrieval_inputs(args)
     if args.utt:
+        speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), None)
+        if speaker is None:  # same-speaker rates need the query's speaker
+            raise InvalidInputError(f"{args.utt!r} is not in the manifest {args.manifest}")
         result = store.query_topk(cache.load_embedding(args.utt), args.k, exclude={args.utt})
-        speaker = next((r.speaker_id for r in records if r.utt_id == args.utt), "?")
         fractions = vecstore.speaker_consistency(result, speaker)
         for layer, hits in enumerate(result.hits):
             frac = fractions[layer]
@@ -344,10 +346,9 @@ def gradient_check_suite() -> list[tuple[str, float, float]]:
     feat = rng.standard_normal((2, 3, 5, 8))
     results.append(("mfa_forward", mfa_grad_check(feat, rng), 1e-4))
 
-    queries = rng.standard_normal((2, 3, 4, 8))
-    refs = rng.standard_normal((2, 3, 3, 4, 8))
+    groups = rng.standard_normal((2, 4, 3, 4, 8))  # 2 queries, each with K=3 references
     for name, just_difference in (("radmfa_forward", False), ("just_difference", True)):
-        results.append((name, radmfa_grad_check(queries, refs, rng, just_difference), 1e-4))
+        results.append((name, radmfa_grad_check(groups, rng, just_difference), 1e-4))
     return results
 
 
@@ -360,16 +361,14 @@ def mfa_grad_check(feat: np.ndarray, rng, max_coords=None) -> float:
     )
 
 
-def radmfa_grad_check(queries, refs, rng, just_difference=False, max_coords=None) -> float:
+def radmfa_grad_check(groups, rng, just_difference=False, max_coords=None) -> float:
     """End-to-end check of the batched forward that training and scoring
-    run: queries (B, L, T, F), refs (B, K, L, T, F)."""
-    params = model.init_radmfa(queries.shape[1], queries.shape[3], rng, just_difference)
-
-    def fn(queries_t, refs_t, *_):
-        return model.radmfa_forward(queries_t, refs_t, params)
-
-    inputs = [queries, refs, *params.tensors().values()]
-    return nn.grad_check(fn, inputs, max_coords=max_coords)
+    run: groups (B, 1+K, L, T, F), each a query followed by its references."""
+    params = model.init_radmfa(groups.shape[2], groups.shape[4], rng, just_difference)
+    inputs = [groups, *params.tensors().values()]
+    return nn.grad_check(
+        lambda groups_t, *_: model.radmfa_forward(groups_t, params), inputs, max_coords=max_coords
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

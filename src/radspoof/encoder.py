@@ -222,15 +222,9 @@ class CacheIndex:
     def embedding_path(self, utt_id: str) -> Path:
         return self.root / self._entry(utt_id)[1]
 
-    def load_short(self, utt_id: str, tau: int | None = None) -> np.ndarray:
-        """(L, T, F) short feature at `tau`, by default the cache's own; a tau=1
-        cache serves any tau by block mean, any other cache only its own."""
-        values = _read_cached(self.short_path(utt_id), radf.KIND_SHORT)
-        if tau is None or tau == self.tau:
-            return values
-        if self.tau != 1:
-            raise IncompatibilityError(f"cache at {self.root} holds tau={self.tau}, not tau={tau}")
-        return time_speedup(values, tau)
+    def load_short(self, utt_id: str) -> np.ndarray:
+        """(L, T, F) float32 short feature at the cache's own tau."""
+        return _read_cached(self.short_path(utt_id), radf.KIND_SHORT)
 
     def load_embedding(self, utt_id: str) -> np.ndarray:
         """(L, F) embedding, the retrieval key."""
@@ -239,13 +233,18 @@ class CacheIndex:
     def short_table(self, tau: int | None = None) -> tuple[dict[str, int], np.ndarray]:
         """(rows, table): `table` is one float32 (N, L, T, F) array holding every
         entry's short feature at `tau` (default: the cache's own), and `rows`
-        maps each utt_id to its row. Read once per cache object and tau."""
-        key = self.tau if tau is None else tau
-        if key not in self._tables:
+        maps each utt_id to its row. A tau=1 cache serves any tau by block
+        mean, any other cache only its own. Read once per cache object and tau."""
+        tau = self.tau if tau is None else tau
+        if tau != self.tau and self.tau != 1:
+            raise IncompatibilityError(f"cache at {self.root} holds tau={self.tau}, not tau={tau}")
+        if tau not in self._tables:
             rows = {utt_id: row for row, utt_id in enumerate(self.entries)}
             table = np.empty((0, self.n_layers, 0, self.feat_dim), dtype=np.float32)
             for utt_id, row in rows.items():
-                values = self.load_short(utt_id, tau)
+                values = self.load_short(utt_id)
+                if tau != self.tau:
+                    values = time_speedup(values, tau)
                 if row == 0:  # filled in place: a list of rows would double the peak
                     table = np.empty((len(rows),) + values.shape, dtype=np.float32)
                 if values.shape != table.shape[1:]:
@@ -254,8 +253,8 @@ class CacheIndex:
                         f"{table.shape[1:]} in the cache at {self.root}"
                     )
                 table[row] = values
-            self._tables[key] = (rows, table)
-        return self._tables[key]
+            self._tables[tau] = (rows, table)
+        return self._tables[tau]
 
     def save(self) -> None:
         meta = (

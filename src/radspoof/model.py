@@ -11,14 +11,16 @@ differences over the K axis, and classifies the pooled differences
 concatenated with the query representation. The ``just_difference``
 variant drops the query branch at the head.
 
-References are gathered by row. Retrieval maps each query to a (K, L)
-array of rows in the cache's short-feature table at the run's tau
-(``CacheIndex.short_table``, read once per cache object and tau), and each
-batch takes its queries (B, L, T, F) and references (B, K, L, T, F) from
-that table with one fancy-index apiece. A query given fewer than k
-references is an error, never a silently smaller K. The baseline gathers
-its batches the same way, from one float64 (N, T', F) log-mel table that
-its runner fills once, one WAV read per record it trains or scores on.
+Queries and references are gathered as groups of rows. When a runner is
+built, each record it serves becomes one (1+K, L) group of rows in the
+cache's short-feature table at the run's tau (``CacheIndex.short_table``,
+read once per cache object and tau): the record's own row in every layer,
+then the rows of the K references retrieved for it, once. Each batch takes
+its (B, 1+K, L, T, F) features from that table with one fancy index. A
+query given fewer than k references is an error, never a silently smaller
+K. The baseline gathers its batches the same way, from one float64
+(N, T', F) log-mel table that its runner fills once, one WAV read per
+record it trains or scores on.
 
 Each model has exactly one batched forward: ``radmfa_forward`` (both
 retrieval heads, selected by ``RadMfaParams.just_difference``) and
@@ -172,32 +174,25 @@ def mfa_forward(features, params: MfaParams) -> nn.Tensor:
     return nn.asp(merged, params.layer_pool)  # (B, 4F)
 
 
-def radmfa_forward(queries, refs, params: RadMfaParams) -> nn.Tensor:
-    """Queries (B, L, T, F) with references (B, K, L, T, F) -> logits (B, 2).
+def radmfa_forward(groups, params: RadMfaParams) -> nn.Tensor:
+    """Groups (B, 1+K, L, T, F), each a query followed by its K references
+    -> logits (B, 2).
 
     One shared fusion pass runs over all B*(1+K) rows, so a reference whose
     features equal its query's differs from it by exactly zero; the
-    differences are then pooled per query over K. Arrays or Tensors are
-    accepted, so gradients can reach the inputs.
+    differences are then pooled per query over K. An array or a Tensor is
+    accepted, so gradients can reach the input.
     """
-    queries = queries if isinstance(queries, nn.Tensor) else nn.constant(queries)
-    refs = refs if isinstance(refs, nn.Tensor) else nn.constant(refs)
-    if refs.data.ndim != 5 or refs.data.shape[2:] != queries.data.shape[1:]:
+    groups = groups if isinstance(groups, nn.Tensor) else nn.constant(groups)
+    if groups.data.ndim != 5 or groups.data.shape[1] < 2:
         raise InvalidInputError(
-            f"reference shape {refs.data.shape} incompatible with queries {queries.data.shape}"
+            f"expected (B, 1+K, L, T, F) groups with K >= 1, got shape {groups.data.shape}"
         )
-    n_queries, k = refs.data.shape[:2]
-    if k < 1:
-        raise InvalidInputError("retrieval returned no references")
-    if queries.data.shape[0] != n_queries:
-        raise InvalidInputError(
-            f"{queries.data.shape[0]} queries but references for {n_queries}"
-        )
-    row_shape = queries.data.shape[1:]
-    rows = nn.concat([nn.reshape(queries, (n_queries, 1) + row_shape), refs], axis=1)
-    flat = nn.reshape(rows, (n_queries * (1 + k),) + row_shape)  # query first per group
+    n_queries, group_size = groups.data.shape[:2]
+    k = group_size - 1
+    flat = nn.reshape(groups, (n_queries * group_size,) + groups.data.shape[2:])
     reprs = mfa_forward(flat, params.mfa)  # (B*(1+K), 4F)
-    grouped = nn.reshape(reprs, (n_queries, 1 + k, reprs.data.shape[-1]))
+    grouped = nn.reshape(reprs, (n_queries, group_size, reprs.data.shape[-1]))
     query_repr = nn.narrow(grouped, axis=1, start=0, length=1)  # (B, 1, 4F)
     ref_reprs = nn.narrow(grouped, axis=1, start=1, length=k)  # (B, K, 4F)
     diffs = nn.sub(ref_reprs, query_repr)
@@ -308,34 +303,38 @@ class _BaselineRunner:
 
 
 class _RadRunner:
-    def __init__(self, store, cache, hyper, just_difference):
+    def __init__(self, records, store, cache, hyper, just_difference):
+        """Retrieves each of `records` once, into its (1+K, L) group of
+        short-table rows: its own row in every layer, then its K references'
+        rows. Every batch gathers its groups from the table with one index."""
         if store is None or cache is None:
             raise ConfigurationError("retrieval-augmented models need a store and a cache")
         if store.fingerprint != cache.fingerprint:
             raise IncompatibilityError("store and cache were built from different encoders")
-        self.hyper = hyper
-        self.store = store
-        self.cache = cache
-        self.rows, self.table = cache.short_table(hyper.tau)
+        rows, self.table = cache.short_table(hyper.tau)
+        self.groups = {}
+        for record in records:
+            # retrieval first: it names a query the cache lacks (FeatureLoadError)
+            refs = retrieve_references(record.utt_id, store, cache, rows, hyper.k_refs)
+            own = np.full((1, cache.n_layers), rows[record.utt_id], dtype=np.intp)
+            self.groups[record.utt_id] = np.concatenate([own, refs])  # (1+K, L)
         rng = np.random.default_rng(np.random.SeedSequence((hyper.seed, 502)))
         self.params = init_radmfa(
             cache.n_layers, cache.feat_dim, rng, just_difference=just_difference
         )
         self.param_set = nn.ParamSet(self.params.tensors())
-        self._ref_rows: dict[str, np.ndarray] = {}
-
-    def _references(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self._ref_rows:
-            self._ref_rows[utt_id] = retrieve_references(
-                utt_id, self.store, self.cache, self.rows, self.hyper.k_refs
-            )
-        return self._ref_rows[utt_id]
 
     def logits(self, batch_records) -> nn.Tensor:
-        ref_rows = np.stack([self._references(r.utt_id) for r in batch_records])  # (B, K, L)
-        queries = self.table[[self.rows[r.utt_id] for r in batch_records]]  # (B, L, T, F)
-        refs = self.table[ref_rows, np.arange(self.table.shape[1])]  # (B, K, L, T, F)
-        return radmfa_forward(queries.astype(np.float64), refs.astype(np.float64), self.params)
+        groups = np.stack([self.groups[r.utt_id] for r in batch_records])  # (B, 1+K, L)
+        features = self.table[groups, np.arange(self.table.shape[1])]  # (B, 1+K, L, T, F)
+        return radmfa_forward(features.astype(np.float64), self.params)
+
+
+def _runner(kind, records, manifest_dir, encoder_cfg, hyper, store, cache):
+    """The runner that trains or scores `kind` on exactly `records`."""
+    if kind == "baseline":
+        return _BaselineRunner(records, manifest_dir, encoder_cfg, hyper)
+    return _RadRunner(records, store, cache, hyper, kind == "just_difference")
 
 
 def _scores(runner, records, batch_size) -> list[ScoreRecord]:
@@ -369,10 +368,9 @@ def train_model(
     if not train_records or not dev_records:
         raise ConfigurationError("need non-empty train and dev splits")
 
-    if kind == "baseline":
-        runner = _BaselineRunner(train_records + dev_records, manifest_dir, encoder_cfg, hyper)
-    else:
-        runner = _RadRunner(store, cache, hyper, kind == "just_difference")
+    runner = _runner(
+        kind, train_records + dev_records, manifest_dir, encoder_cfg, hyper, store, cache
+    )
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((hyper.seed, 503)))
     log_lines = []
@@ -395,7 +393,6 @@ def train_model(
             best = (dev_eer, epoch, runner.param_set.clone_arrays())
 
     best_eer, best_epoch, best_arrays = best
-    runner.param_set.load_arrays(best_arrays)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -481,17 +478,12 @@ def score_dataset(
         k_refs=k_refs if k_refs is not None else meta["k_refs"],
         tau=tau if tau is not None else meta["tau"],
     )
-    if kind == "baseline":
-        runner = _BaselineRunner(records, manifest_dir, _encoder_of(meta), hyper)
-    else:
-        if cache is not None and meta["fingerprint"] != cache.fingerprint:
-            raise IncompatibilityError(
-                "checkpoint was trained on features from a different encoder"
-            )
-        runner = _RadRunner(store, cache, hyper, kind == "just_difference")
+    if not records:
+        raise InvalidInputError("no records to score")
+    if kind != "baseline" and cache is not None and meta["fingerprint"] != cache.fingerprint:
+        raise IncompatibilityError("checkpoint was trained on features from a different encoder")
+    runner = _runner(kind, records, manifest_dir, _encoder_of(meta), hyper, store, cache)
     runner.param_set.load_arrays(arrays)
     for tensor in runner.param_set.tensors.values():  # scoring never calls backward: no tape
         tensor.requires_grad = False
-    if not records:
-        raise InvalidInputError("no records to score")
     return _scores(runner, records, SCORE_BATCH)

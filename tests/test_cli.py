@@ -383,10 +383,11 @@ def test_eval_empty_split_or_deleted_cache_file_fails_with_error_line(
     shutil.copytree(cache_dir, cache)
     checkpoint = tmp_path / "rad.ckpt"
     nn.save_checkpoint(checkpoint, *_radmfa_checkpoint_tensors(cache_dir))
-    split = "eval"
-    if damage == "empty_split":
-        split = "nosuch"
+    if damage == "empty_split":  # with no short file left, any read would fail first
+        split, message = "nosuch", "error: no records to score"
+        shutil.rmtree(cache / "short")
     else:  # a file index.tsv still lists
+        split, message = "eval", "error: corrupt cache file"
         sorted((cache / "short").iterdir())[0].unlink()
     capsys.readouterr()
     code = main([
@@ -395,7 +396,7 @@ def test_eval_empty_split_or_deleted_cache_file_fails_with_error_line(
         "--cache", str(cache), "--store", str(store_dir),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "x.tsv").exists()
 
 
@@ -459,6 +460,23 @@ def test_retrieve_unknown_utt_fails_with_error_line(workspace, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_retrieve_utt_outside_the_manifest_fails_with_error_line(workspace, tmp_path, capsys):
+    root, manifest, cache_dir, store_dir = workspace
+    first, *rest = manifest.read_text().splitlines(keepends=True)
+    utt = first.split("\t")[0]  # still in the cache, so its speaker is the one unknown
+    trimmed = tmp_path / "manifest.tsv"
+    trimmed.write_text("".join(rest))
+    capsys.readouterr()
+    code = main([
+        "retrieve", "--manifest", str(trimmed), "--cache", str(cache_dir),
+        "--store", str(store_dir), "--utt", utt, "--k", "3",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and repr(utt) in captured.err
+    assert "same-speaker" not in captured.out
 
 
 def test_eval_derives_checkpoint_tau_from_tau_one_cache(workspace, tmp_path, capsys):

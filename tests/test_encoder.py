@@ -348,18 +348,20 @@ def test_tau_one_cache_derives_short_features_exactly(small_corpus, tmp_path, ta
         derived = derived_table[derived_rows[record.utt_id]]
         assert derived.dtype == np.float32
         assert derived.tobytes() == direct_table[direct_rows[record.utt_id]].tobytes()
-    assert full.load_short(records[0].utt_id, tau).shape == derived_table.shape[1:]
+    own = full.load_short(records[0].utt_id)  # the file as cached, at tau=1
+    assert own.dtype == np.float32 and own.shape == full.short_table()[1].shape[1:]
+    assert own.shape[1] > derived_table.shape[2]
 
 
 def test_cache_serves_only_its_own_tau_unless_tau_one(small_corpus, tmp_path):
     root, records = small_corpus
     cache = extract_and_cache(records, root, tiny_cfg(), tau=10, cache_dir=tmp_path / "c")
-    utt = records[0].utt_id
-    assert cache.load_short(utt, 10).tobytes() == cache.load_short(utt).tobytes()
-    with pytest.raises(IncompatibilityError):
-        cache.load_short(utt, 5)
-    with pytest.raises(IncompatibilityError):
-        cache.short_table(5)
+    assert cache.short_table(10) is cache.short_table()
+    for short_file in (tmp_path / "c" / "short").iterdir():
+        short_file.unlink()
+    fresh = CacheIndex.load(tmp_path / "c")
+    with pytest.raises(IncompatibilityError, match="holds tau=10, not tau=5"):
+        fresh.short_table(5)  # refused before any file is read
 
 
 def test_short_table_disagreeing_shapes_is_feature_load_error(small_corpus, tmp_path):

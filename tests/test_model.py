@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,14 +52,18 @@ def test_mfa_gradient_end_to_end():
     assert mfa_grad_check(feat, rng, max_coords=120) < 1e-4
 
 
+def _groups(queries, refs):
+    """(B, 1+K, L, T, F) groups: each query followed by its references."""
+    return np.concatenate([queries[:, None], refs], axis=1)
+
+
 def test_radmfa_shapes():
     rng = np.random.default_rng(4)
     params = init_radmfa(4, 16, rng)
     assert params.sample_pool.attn_w.data.shape[0] == 64  # 4F in
     assert params.head_w.data.shape == (192, 2)  # 12F -> 2
-    queries = rng.standard_normal((3, 4, 5, 16))
-    refs = rng.standard_normal((3, 10, 4, 5, 16))
-    logits = radmfa_forward(queries, refs, params)
+    groups = rng.standard_normal((3, 11, 4, 5, 16))
+    logits = radmfa_forward(groups, params)
     assert logits.data.shape == (3, 2)
 
 
@@ -65,15 +71,15 @@ def test_radmfa_refs_equal_query_zero_difference():
     rng = np.random.default_rng(5)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = np.repeat(query[:, None], 5, axis=1)
+    groups = np.repeat(query[:, None], 6, axis=1)  # the query and 5 copies
     feat_dim = 8
     head_in = np.concatenate(
         [np.zeros(4 * feat_dim), np.full(4 * feat_dim, np.sqrt(nn.ASP_EPS))]
     )
     # query branch appended after the pooled difference
-    reprs = mfa_forward(np.concatenate([query, refs[0]], axis=0), params.mfa).data
+    reprs = mfa_forward(groups[0], params.mfa).data
     expected = np.concatenate([head_in, reprs[0]]) @ params.head_w.data + params.head_b.data
-    logits = radmfa_forward(query, refs, params)
+    logits = radmfa_forward(groups, params)
     assert np.array_equal(logits.data[0], expected)
 
 
@@ -82,16 +88,15 @@ def test_just_difference_constant_for_equal_refs():
     params = init_radmfa(3, 8, rng, just_difference=True)
     assert params.head_w.data.shape == (64, 2)  # 8F -> 2
     query = rng.standard_normal((1, 3, 4, 8))
-    refs = np.repeat(query[:, None], 4, axis=1)
     feat_dim = 8
     head_in = np.concatenate(
         [np.zeros(4 * feat_dim), np.full(4 * feat_dim, np.sqrt(nn.ASP_EPS))]
     )
     expected = head_in @ params.head_w.data + params.head_b.data
-    logits = radmfa_forward(query, refs, params)
+    logits = radmfa_forward(np.repeat(query[:, None], 5, axis=1), params)
     assert np.array_equal(logits.data[0], expected)
     other_query = rng.standard_normal((1, 3, 4, 8))
-    again = radmfa_forward(other_query, np.repeat(other_query[:, None], 4, axis=1), params)
+    again = radmfa_forward(np.repeat(other_query[:, None], 5, axis=1), params)
     assert np.array_equal(again.data[0], expected)
 
 
@@ -100,8 +105,8 @@ def test_k_identical_copies_match_k1():
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
     ref = rng.standard_normal((1, 1, 3, 4, 8))
-    one = radmfa_forward(query, ref, params).data
-    many = radmfa_forward(query, np.repeat(ref, 7, axis=1), params).data
+    one = radmfa_forward(_groups(query, ref), params).data
+    many = radmfa_forward(_groups(query, np.repeat(ref, 7, axis=1)), params).data
     assert np.max(np.abs(one - many)) < 1e-9
 
 
@@ -110,10 +115,10 @@ def test_reference_permutation_invariance():
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
     refs = rng.standard_normal((1, 6, 3, 4, 8))
-    base = radmfa_forward(query, refs, params).data
+    base = radmfa_forward(_groups(query, refs), params).data
     for _ in range(3):
         perm = rng.permutation(6)
-        shuffled = radmfa_forward(query, refs[:, perm], params).data
+        shuffled = radmfa_forward(_groups(query, refs[:, perm]), params).data
         assert np.max(np.abs(base - shuffled)) < 1e-9
 
 
@@ -121,49 +126,38 @@ def test_radmfa_empty_refs_rejected():
     rng = np.random.default_rng(10)
     params = init_radmfa(3, 8, rng)
     query = rng.standard_normal((1, 3, 4, 8))
-    with pytest.raises(InvalidInputError):
-        radmfa_forward(query, np.zeros((1, 0, 3, 4, 8)), params)
-
-
-def test_radmfa_mismatched_batch_rejected():
-    rng = np.random.default_rng(10)
-    params = init_radmfa(3, 8, rng)
-    queries = rng.standard_normal((2, 3, 4, 8))
-    with pytest.raises(InvalidInputError):
-        radmfa_forward(queries, rng.standard_normal((3, 2, 3, 4, 8)), params)
-    with pytest.raises(InvalidInputError):  # refs without the batch axis
-        radmfa_forward(queries, rng.standard_normal((2, 3, 4, 8)), params)
+    with pytest.raises(InvalidInputError):  # a group of the query alone
+        radmfa_forward(query[:, None], params)
+    with pytest.raises(InvalidInputError):  # a query without the group axis
+        radmfa_forward(query, params)
 
 
 def test_radmfa_gradient_end_to_end():
     rng = np.random.default_rng(11)
-    queries = rng.standard_normal((2, 3, 4, 8))
-    refs = rng.standard_normal((2, 3, 3, 4, 8))
-    assert radmfa_grad_check(queries, refs, rng, max_coords=120) < 1e-4
+    groups = rng.standard_normal((2, 4, 3, 4, 8))
+    assert radmfa_grad_check(groups, rng, max_coords=120) < 1e-4
 
 
 def test_batched_forward_matches_single():
     rng = np.random.default_rng(12)
     params = init_radmfa(3, 8, rng)
-    queries = rng.standard_normal((4, 3, 5, 8))
-    refs = rng.standard_normal((4, 6, 3, 5, 8))
-    batched = radmfa_forward(queries, refs, params).data
+    groups = rng.standard_normal((4, 7, 3, 5, 8))
+    batched = radmfa_forward(groups, params).data
     for i in range(4):
-        single = radmfa_forward(queries[i : i + 1], refs[i : i + 1], params).data
+        single = radmfa_forward(groups[i : i + 1], params).data
         assert np.max(np.abs(batched[i] - single[0])) < 1e-9
 
 
 def test_score_sign_stable_under_positive_head_scaling():
     rng = np.random.default_rng(13)
     params = init_radmfa(3, 8, rng)
-    query = rng.standard_normal((1, 3, 4, 8))
-    refs = rng.standard_normal((1, 5, 3, 4, 8))
-    base = radmfa_forward(query, refs, params).data[0]
+    groups = rng.standard_normal((1, 6, 3, 4, 8))
+    base = radmfa_forward(groups, params).data[0]
     base_score = base[model.CLASS_BONAFIDE] - base[model.CLASS_SPOOF]
     for c in (0.5, 2.0, 13.0):
         params.head_w.data *= c
         params.head_b.data *= c
-        scaled = radmfa_forward(query, refs, params).data[0]
+        scaled = radmfa_forward(groups, params).data[0]
         score = scaled[model.CLASS_BONAFIDE] - scaled[model.CLASS_SPOOF]
         assert np.sign(score) == np.sign(base_score)
         params.head_w.data /= c
@@ -215,6 +209,72 @@ def test_baseline_batch_gathers_each_records_log_mel(tiny_setup, monkeypatch):
     assert batches[0].dtype == np.float64 and np.array_equal(batches[0], expected)
 
 
+def test_rad_batch_gathers_the_groups_the_old_halves_made(tiny_setup, monkeypatch):
+    root, records, _, cache, store = tiny_setup
+    served = [r for r in records if r.split == "eval"]
+    runner = model._RadRunner(served, store, cache, TrainHyper(k_refs=5, tau=10), False)
+    flats = []
+    mfa = model.mfa_forward
+    monkeypatch.setattr(model, "mfa_forward", lambda x, p: flats.append(x.data) or mfa(x, p))
+    batch = [served[7], served[2], served[7], served[0]]
+    runner.logits(batch)
+    # oracle: queries and references gathered and cast apart, then joined
+    rows, table = cache.short_table(10)
+    queries = table[[rows[r.utt_id] for r in batch]].astype(np.float64)
+    ref_rows = np.stack(
+        [model.retrieve_references(r.utt_id, store, cache, rows, 5) for r in batch]
+    )
+    refs = table[ref_rows, np.arange(3)].astype(np.float64)
+    expected = np.concatenate([queries[:, None], refs], axis=1)
+    (flat,) = flats
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert flat.shape == (len(batch) * 6,) + table.shape[1:]
+    assert flat.tobytes() == expected.reshape(flat.shape).tobytes()
+
+
+def test_each_served_record_is_retrieved_once(tiny_setup, tmp_path, monkeypatch):
+    root, records, encoder_cfg, cache, store = tiny_setup
+    calls = []
+    retrieve = model.retrieve_references
+    monkeypatch.setattr(
+        model, "retrieve_references", lambda utt, *rest: calls.append(utt) or retrieve(utt, *rest)
+    )
+    served = [r for r in records if r.split == "eval"]
+    runner = model._RadRunner(served, store, cache, TrainHyper(k_refs=5, tau=10), False)
+    assert calls == [r.utt_id for r in served]  # all at construction
+    for start in range(0, len(served), 5):
+        runner.logits(served[start : start + 5])
+    runner.logits(served)
+    assert len(calls) == len(served)
+    calls.clear()
+    hyper = TrainHyper(lr=3e-4, batch_size=12, epochs=2, seed=5, k_refs=5, tau=10)
+    train_model("radmfa", records, root, encoder_cfg, hyper, tmp_path, store=store, cache=cache)
+    assert sorted(calls) == sorted(r.utt_id for r in records if r.split in ("train", "dev"))
+
+
+def test_too_few_references_fail_when_the_runner_is_built(tiny_setup):
+    _, records, _, cache, store = tiny_setup
+    with pytest.raises(InvalidInputError, match=f"need k={store.count + 1}"):
+        model._RadRunner(records, store, cache, TrainHyper(k_refs=store.count + 1), False)
+
+
+def test_scoring_a_record_the_cache_lacks_is_feature_load_error(tiny_setup, tmp_path):
+    _, records, _, cache, store = tiny_setup
+    params = init_radmfa(3, 16, np.random.default_rng(0))
+    meta = {
+        "kind": "radmfa", "n_layers": "3", "feat_dim": "16", "tau": "10", "k_refs": "5",
+        "encoder_seed": "3", "fingerprint": cache.fingerprint,
+    }
+    checkpoint = tmp_path / "rad.ckpt"
+    nn.save_checkpoint(checkpoint, {n: t.data for n, t in params.tensors().items()}, meta)
+    eval_records = [r for r in records if r.split == "eval"]
+    ghost = dataclasses.replace(eval_records[0], utt_id="ghost")
+    with pytest.raises(FeatureLoadError, match="'ghost' is not in the cache"):
+        score_dataset(
+            "radmfa", checkpoint, eval_records[:3] + [ghost], tmp_path, store=store, cache=cache
+        )
+
+
 def test_untrained_eer_near_chance(tiny_setup):
     # the tiny eval split is too small for a tight band; the +-0.15 gate runs
     # on the full toy corpus in the acceptance suite
@@ -230,7 +290,7 @@ def test_untrained_eer_near_chance(tiny_setup):
             [model.retrieve_references(r.utt_id, store, cache, rows, 5) for r in eval_records]
         )
         refs = table[ref_rows, np.arange(3)].astype(float)
-        logits = radmfa_forward(queries, refs, params).data
+        logits = radmfa_forward(_groups(queries, refs), params).data
         scores = model._scores_from_logits(eval_records, logits)
         eers.append(pooled_eer(scores).eer)
     assert 0.15 <= float(np.median(eers)) <= 0.85
@@ -369,7 +429,8 @@ def test_score_checkpoint_with_kind_only_meta_is_format_error(tmp_path):
 @pytest.mark.parametrize(
     "drop", ["n_layers", "feat_dim", "encoder_seed", "encoder.scale.1", "head_w", "bad_tau"]
 )
-def test_incomplete_baseline_checkpoint_is_format_error(tmp_path, drop):
+def test_incomplete_baseline_checkpoint_is_format_error(tiny_setup, tmp_path, drop):
+    root, records, _, _, _ = tiny_setup
     tensors, meta = _baseline_checkpoint_parts()
     tensors.pop(drop, None)
     meta.pop(drop, None)
@@ -379,8 +440,8 @@ def test_incomplete_baseline_checkpoint_is_format_error(tmp_path, drop):
     nn.save_checkpoint(path, tensors, meta)
     with pytest.raises(FormatError):
         model.tuned_encoder_from_checkpoint(path)
-    with pytest.raises(FormatError):
-        score_dataset("baseline", path, [], tmp_path)
+    with pytest.raises(FormatError):  # one record: an empty list fails before any tensor check
+        score_dataset("baseline", path, records[:1], root)
 
 
 def test_complete_baseline_checkpoint_gives_its_tuning(tmp_path):

@@ -64,18 +64,24 @@ def test_retrieval_report_shape(micro_setup):
 def test_seed_experiment_and_grid_deterministic(micro_setup, tmp_path, monkeypatch):
     root, records, base_cfg, hyper = micro_setup
     workdir = tmp_path / "grid"
-    load_short = CacheIndex.load_short
-    short_taus = []
+    load_short, short_table = CacheIndex.load_short, CacheIndex.short_table
+    reads, table_taus = [], []
 
-    def counting(self, utt_id, tau=None):
-        short_taus.append(tau)
-        return load_short(self, utt_id, tau)
+    def counting_table(self, tau=None):
+        table_taus.append(tau)
+        return short_table(self, tau)
 
-    monkeypatch.setattr(CacheIndex, "load_short", counting)
+    def counting_read(self, utt_id):
+        reads.append(utt_id)
+        return load_short(self, utt_id)
+
+    monkeypatch.setattr(CacheIndex, "short_table", counting_table)
+    monkeypatch.setattr(CacheIndex, "load_short", counting_read)
     rows_a, sweep_a = ablation_grid(workdir, records, root / "corpus", base_cfg, hyper, seeds=(0,))
     monkeypatch.undo()
     # runners, scoring calls and sweep points share one short-feature table per tau
-    assert len(short_taus) <= len(records) * len({hyper.tau, *TAU_SWEEP})
+    assert set(table_taus) == {hyper.tau, *TAU_SWEEP}
+    assert len(reads) <= len(records) * len(set(table_taus))
     csv_a = (workdir / "ablation.csv").read_bytes()
     sweep_csv_a = (workdir / "tau_sweep.csv").read_bytes()
     assert len(rows_a) == 4
